@@ -45,8 +45,9 @@ struct BenchOptions {
   // nanoseconds; 0 lets the scenario pick its documented defaults.
   std::uint64_t slo_p99_ns = 0;
   std::uint64_t slo_p999_ns = 0;
-  // Non-null when the driver got --trace=FILE: locks are constructed with
-  // this sink, and the grid labels a new trace run per benchmark cell.
+  // Non-null when the driver got --trace=FILE (it is also the HTM runtime's
+  // trace sink for the whole invocation): the grid labels a new trace run
+  // per benchmark cell.
   MemoryTraceSink* trace = nullptr;
 };
 
@@ -101,9 +102,7 @@ void RunFigureGrid(
     const std::function<void(Workload&, ElidableLock&, Rng&, bool)>& op) {
   for (const double ratio : write_ratios) {
     for (const auto& scheme : schemes) {
-      LockOptions lock_options;
-      lock_options.trace_sink = options.trace;
-      auto lock = MakeLock(scheme, lock_options);
+      auto lock = MakeLock(scheme);
       if (lock == nullptr) {
         std::fprintf(stderr, "unknown scheme: %s\n", scheme.c_str());
         continue;

@@ -43,7 +43,7 @@ std::vector<AblationCase> Cases() {
   }
 
   RwLePolicy no_rot = base;
-  no_rot.use_rot = false;
+  no_rot.max_rot_retries = 0;
   cases.push_back({"no-rot", no_rot});
 
   RwLePolicy split = base;
@@ -58,10 +58,7 @@ void RunAblation(const ScenarioSpec& spec, const BenchOptions& options,
     if (std::find(schemes.begin(), schemes.end(), ablation.name) == schemes.end()) {
       continue;
     }
-    RwLePolicy policy = ablation.policy;
-    policy.trace_sink = options.trace;
-    LockAdapter<RwLeLock> lock(ablation.name, policy);
-    lock.set_trace_sink(options.trace);
+    LockAdapter<RwLeLock> lock(ablation.name, ablation.policy);
     for (const double ratio : spec.panel_values) {
       for (const std::uint32_t threads : options.thread_counts) {
         // Fresh workload per cell and the DeriveCellSeed contract, matching

@@ -93,19 +93,15 @@ void RunChopped(const ScenarioSpec& spec, const BenchOptions& options,
                 std::size_t footprint, ResultSink& sink) {
   const std::size_t pieces = (footprint + kPieceBudgetLines - 1) / kPieceBudgetLines;
   for (const std::uint32_t threads : options.thread_counts) {
-    RwLePolicy policy;
-    policy.trace_sink = options.trace;
     // Reads go through the adapter (timed, so the JSON latency block covers
     // them); chopped writes drive the underlying lock directly, so write
     // latencies are not sampled for this scheme -- throughput and the chop
     // stats block are unaffected.
-    LockAdapter<RwLeLock> adapter("rwle-chop", policy);
-    adapter.set_trace_sink(options.trace);
+    LockAdapter<RwLeLock> adapter("rwle-chop");
     ChopPolicy chop_policy;
     // Disjoint stripes satisfy the chopping precondition, so chains may run
     // concurrently (the serialized default would forfeit writer scaling).
     chop_policy.serialize_chains = false;
-    chop_policy.trace_sink = options.trace;
     ChoppedSection chopped(adapter.lock(), chop_policy);
     StripeTable table(threads, footprint);
 
@@ -144,9 +140,7 @@ void RunChopped(const ScenarioSpec& spec, const BenchOptions& options,
 void RunUnchopped(const std::string& scheme, const BenchOptions& options,
                   std::size_t footprint, ResultSink& sink) {
   for (const std::uint32_t threads : options.thread_counts) {
-    LockOptions lock_options;
-    lock_options.trace_sink = options.trace;
-    auto lock = MakeLock(scheme, lock_options);
+    auto lock = MakeLock(scheme);
     if (lock == nullptr) {
       std::fprintf(stderr, "unknown scheme: %s\n", scheme.c_str());
       return;

@@ -34,7 +34,6 @@ void RunFallbackSweep(const ScenarioSpec& spec, const BenchOptions& options,
   for (const double ratio : spec.panel_values) {
     for (const auto& scheme : schemes) {
       LockOptions lock_options;
-      lock_options.trace_sink = options.trace;
       // No speculation: every write demotes straight to the NS path, making
       // the blocked-reader fallback the hot path under measurement.
       lock_options.max_htm_retries = 0;

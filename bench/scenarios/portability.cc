@@ -163,9 +163,7 @@ void RunPortabilitySweep(const ScenarioSpec& spec, const BenchOptions& options,
     const HwProfile& profile = profiles[index];
     for (const auto& scheme : schemes) {
       for (const std::uint32_t threads : options.thread_counts) {
-        LockOptions lock_options;
-        lock_options.trace_sink = options.trace;
-        auto lock = MakeLock(scheme, lock_options);
+        auto lock = MakeLock(scheme);
         if (lock == nullptr) {
           std::fprintf(stderr, "unknown scheme: %s\n", scheme.c_str());
           continue;

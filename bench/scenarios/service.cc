@@ -93,9 +93,6 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
       options.slo_p999_ns != 0 ? options.slo_p999_ns : kDefaultSloP999Ns;
 
   for (const auto& scheme : schemes) {
-    LockOptions lock_options;
-    lock_options.trace_sink = options.trace;
-
     // Calibration: mean service time under a single-threaded closed loop
     // (no queueing, no contention), from which the pool's ideal capacity is
     // extrapolated. Deliberately per scheme: "90% of capacity" should mean
@@ -103,7 +100,7 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
     // equal relative stress.
     double capacity_ops = 0.0;
     {
-      auto lock = MakeLock(scheme, lock_options);
+      auto lock = MakeLock(scheme);
       if (lock == nullptr) {
         std::fprintf(stderr, "unknown scheme: %s\n", scheme.c_str());
         continue;
@@ -125,7 +122,7 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
 
     for (const double load : spec.panel_values) {
       const double panel = load * 100.0;  // displayed as % of capacity
-      auto lock = MakeLock(scheme, lock_options);
+      auto lock = MakeLock(scheme);
       if (lock == nullptr) {
         continue;
       }

@@ -5,6 +5,7 @@
 #include "src/htm/htm_runtime.h"
 #include "src/stats/cost_meter.h"
 #include "src/trace/trace_event.h"
+#include "src/trace/trace_sink.h"
 
 namespace rwle {
 namespace {

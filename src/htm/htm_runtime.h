@@ -176,10 +176,12 @@ class HtmRuntime {
 
   // --- Tracing (src/trace) ----------------------------------------------
   //
-  // Null (the default) disables tracing: every emit site reduces to one
-  // pointer test. Set/cleared by the driver while no transaction is in
-  // flight; relaxed loads suffice because workers only start after the
-  // store (thread creation synchronizes).
+  // The one trace destination: the fabric's transaction events and the
+  // lock-level ones (EpochClocks, the locks, LockAdapter's kOpEnd,
+  // ChoppedSection) all emit here. Null (the default) disables tracing:
+  // every emit site reduces to one pointer test. Set/cleared by the driver
+  // while no transaction is in flight; relaxed loads suffice because
+  // workers only start after the store (thread creation synchronizes).
   void set_trace_sink(TraceSink* sink) {
     // Release: orders the sink's construction before the pointer becomes
     // visible (belt-and-braces; thread creation already synchronizes).

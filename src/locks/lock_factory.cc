@@ -13,50 +13,35 @@ namespace rwle {
 
 namespace {
 
-// Wraps a concrete lock in a named LockAdapter with the trace sink applied.
-// `name` is the full scheme string (suffix included) so it round-trips
-// through ElidableLock::name().
-template <typename Lock, typename... Args>
-std::unique_ptr<ElidableLock> Adapt(const std::string& name, const LockOptions& options,
-                                    Args&&... args) {
-  auto adapter = std::make_unique<LockAdapter<Lock>>(name, std::forward<Args>(args)...);
-  adapter->set_trace_sink(options.trace_sink);
-  return adapter;
-}
-
-RwLePolicy PolicyFromOptions(const LockOptions& options) {
-  RwLePolicy policy;
-  policy.max_htm_retries = options.max_htm_retries;
-  policy.max_rot_retries = options.max_rot_retries;
-  policy.single_scan_ns_sync = options.single_scan_ns_sync;
-  policy.fallback = options.fallback;
-  policy.trace_sink = options.trace_sink;
-  return policy;
-}
+// Every maker wraps its concrete lock in a named LockAdapter. `name` is the
+// full scheme string (suffix included) so it round-trips through
+// ElidableLock::name().
+using MakeFn = std::unique_ptr<ElidableLock> (*)(const std::string& name,
+                                                 const LockOptions& options,
+                                                 FallbackScheme fallback);
 
 template <RwLeVariant V, bool UseRot = true, bool Split = false, bool Adaptive = false>
-std::unique_ptr<ElidableLock> MakeRwLe(const std::string& name, const LockOptions& options) {
-  RwLePolicy policy = PolicyFromOptions(options);
+std::unique_ptr<ElidableLock> MakeRwLe(const std::string& name, const LockOptions& options,
+                                       FallbackScheme fallback) {
+  RwLePolicy policy;
   policy.variant = V;
-  policy.use_rot = UseRot;
+  policy.max_htm_retries = options.max_htm_retries;
+  policy.max_rot_retries = UseRot ? options.max_rot_retries : 0;
   policy.split_rot_ns_locks = Split;
   policy.adaptive = Adaptive;
-  return Adapt<RwLeLock>(name, options, policy);
+  policy.fallback = fallback;
+  return std::make_unique<LockAdapter<RwLeLock>>(name, policy);
 }
 
-std::unique_ptr<ElidableLock> MakeHle(const std::string& name, const LockOptions& options) {
-  return Adapt<HleLock>(name, options, options.max_htm_retries, options.trace_sink);
-}
-
-std::unique_ptr<ElidableLock> MakeBravo(const std::string& name, const LockOptions& options) {
-  BravoLock::Options bravo_options;
-  bravo_options.trace_sink = options.trace_sink;
-  return Adapt<BravoLock>(name, options, bravo_options);
+std::unique_ptr<ElidableLock> MakeHle(const std::string& name, const LockOptions& options,
+                                      FallbackScheme) {
+  return std::make_unique<LockAdapter<HleLock>>(name, options.max_htm_retries);
 }
 
 template <typename Lock>
-std::unique_ptr<ElidableLock> MakeSimple(const std::string& name, const LockOptions& options) {
-  return Adapt<Lock>(name, options);
+std::unique_ptr<ElidableLock> MakeSimple(const std::string& name, const LockOptions&,
+                                         FallbackScheme) {
+  return std::make_unique<LockAdapter<Lock>>(name);
 }
 
 // The one registration table: MakeLock dispatch, AllLockNames() and
@@ -65,10 +50,9 @@ std::unique_ptr<ElidableLock> MakeSimple(const std::string& name, const LockOpti
 struct SchemeDef {
   const char* name;
   const char* description;
-  bool rwle_base;      // honors LockOptions::fallback / the "+<fallback>" suffix
+  bool rwle_base;      // takes the "+<fallback>" suffix
   bool default_sweep;  // member of AllLockNames(), in table order
-  std::unique_ptr<ElidableLock> (*make)(const std::string& name,
-                                        const LockOptions& options);
+  MakeFn make;
 };
 
 constexpr SchemeDef kSchemes[] = {
@@ -91,7 +75,7 @@ constexpr SchemeDef kSchemes[] = {
     {"brlock", "big-reader lock (per-thread reader mutexes)", false, true,
      MakeSimple<BrLock>},
     {"bravo", "standalone BRAVO-biased rw-lock (distributed visible readers)",
-     false, false, MakeBravo},
+     false, false, MakeSimple<BravoLock>},
     {"rwl", "pthread-style centralized read-write lock", false, true,
      MakeSimple<RwLock>},
     {"sgl", "single global lock, no elision", false, true, MakeSimple<SglLock>},
@@ -110,7 +94,7 @@ const SchemeDef* FindScheme(const std::string& base) {
 
 std::unique_ptr<ElidableLock> MakeLock(const std::string& name, const LockOptions& options) {
   std::string base = name;
-  LockOptions effective = options;
+  FallbackScheme fallback = FallbackScheme::kCentralized;
   const std::size_t plus = name.find('+');
   const bool has_suffix = plus != std::string::npos;
   if (has_suffix) {
@@ -120,7 +104,7 @@ std::unique_ptr<ElidableLock> MakeLock(const std::string& name, const LockOption
     for (const FallbackScheme scheme :
          {FallbackScheme::kCentralized, FallbackScheme::kBravo}) {
       if (suffix == FallbackSchemeName(scheme)) {
-        effective.fallback = scheme;
+        fallback = scheme;
         known = true;
         break;
       }
@@ -136,7 +120,7 @@ std::unique_ptr<ElidableLock> MakeLock(const std::string& name, const LockOption
   if (has_suffix && !def->rwle_base) {
     return nullptr;  // e.g. "hle+bravo": only RW-LE bases take a fallback
   }
-  return def->make(name, effective);
+  return def->make(name, options, fallback);
 }
 
 const std::vector<std::string>& AllLockNames() {

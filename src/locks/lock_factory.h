@@ -13,25 +13,14 @@
 
 namespace rwle {
 
-class TraceSink;
-
-// Construction knobs shared by every scheme. Knobs a scheme has no use for
-// are ignored (e.g. ROT retries by HLE, both retry budgets by the
-// non-speculative locks), so one options value can configure a whole sweep.
+// Construction knobs shared by every scheme: the retry budgets. Schemes
+// ignore the ones they have no use for (ROT retries by HLE, both budgets by
+// the non-speculative locks), so one options value can configure a whole
+// sweep. The NS-path fallback is chosen by the scheme name's suffix, and
+// trace events go to HtmRuntime::Global().trace_sink().
 struct LockOptions {
   std::uint32_t max_htm_retries = 5;  // speculative attempts before demoting
   std::uint32_t max_rot_retries = 5;  // ROT attempts before the NS path
-  // RW-LE §3.3: single-traversal quiescence on the NS path. Off = the
-  // unoptimized two-pass barrier (the ablation bench's configuration).
-  bool single_scan_ns_sync = true;
-  // Fallback scheme for readers blocked by a non-speculative writer (RW-LE
-  // bases only; other schemes ignore it). A "+<fallback>" suffix in the
-  // scheme name overrides this knob.
-  FallbackScheme fallback = FallbackScheme::kCentralized;
-  // Destination for the lock's trace events (path transitions, reader
-  // stalls, per-op latencies). Null = tracing off; not owned, must outlive
-  // the lock.
-  TraceSink* trace_sink = nullptr;
 };
 
 // Scheme-name grammar: "<base>[+<fallback>]".
@@ -41,8 +30,9 @@ struct LockOptions {
 //     "brlock", "rwl", "sgl", "bravo" (standalone BRAVO-biased rw-lock).
 //   - Fallback suffix, valid on RW-LE bases only: "+bravo" parks blocked
 //     readers in a distributed visible-reader table, "+centralized" (the
-//     default) spins them on the lock word. "rwle+bravo" is the paper
-//     comparison's composed scheme; "hle+bravo" is rejected.
+//     default, same as no suffix) spins them on the lock word. "rwle+bravo"
+//     is the paper comparison's composed scheme; "hle+bravo" is rejected.
+//   - "rwle-fair" and "rwle-norot" force max_rot_retries to 0.
 // The authoritative list is AllSchemes(). Returns nullptr for unknown
 // names and invalid compositions.
 std::unique_ptr<ElidableLock> MakeLock(const std::string& name,

@@ -5,15 +5,14 @@
 // The paper evaluates two writer-path policies (§4.1):
 //   RW-LE_OPT: HTM x5, then ROT x5, then NS.
 //   RW-LE_PES: ROT x5, then NS (writers always serialized).
-// Figure 7 additionally runs with ROTs disabled (HTM x5, then NS).
+// Figure 7 additionally runs with ROTs disabled (HTM x5, then NS), which
+// is a ROT budget of 0.
 #ifndef RWLE_SRC_RWLE_PATH_POLICY_H_
 #define RWLE_SRC_RWLE_PATH_POLICY_H_
 
 #include <cstdint>
 
 namespace rwle {
-
-class TraceSink;
 
 enum class RwLeVariant : std::uint8_t {
   kOpt = 0,   // optimistic: HTM first
@@ -58,8 +57,7 @@ constexpr const char* WritePathName(WritePath path) {
 struct RwLePolicy {
   RwLeVariant variant = RwLeVariant::kOpt;
   std::uint32_t max_htm_retries = 5;  // MAX-HTM
-  std::uint32_t max_rot_retries = 5;  // MAX-ROT
-  bool use_rot = true;                // Figure 7 disables the ROT fallback
+  std::uint32_t max_rot_retries = 5;  // MAX-ROT; 0 disables the ROT path
   // §3.3 optimization: single-traversal quiescence on the NS path (readers
   // are blocked there, so snapshot+wait collapses to one scan). Off = the
   // unoptimized Algorithm 1 barrier; kept as a switch for the ablation
@@ -75,20 +73,16 @@ struct RwLePolicy {
   // concurrently with a ROT writer (profitable when conflicts are rare).
   bool split_rot_ns_locks = false;
   // Which fallback-lock scheme serves the non-speculative path (see
-  // FallbackScheme above). Selected per lock instance via
-  // LockOptions::fallback or the "+bravo" scheme-name suffix.
+  // FallbackScheme above). Selected per lock instance by the "+bravo"
+  // scheme-name suffix.
   FallbackScheme fallback = FallbackScheme::kCentralized;
-  // Trace destination for this lock's own events (path transitions, reader
-  // stalls). Null = tracing off; not owned. Transaction-level events are
-  // emitted by the HTM runtime via its own sink pointer.
-  TraceSink* trace_sink = nullptr;
 };
 
 // Per-acquisition path state machine.
 class PathPolicy {
  public:
   explicit PathPolicy(const RwLePolicy& policy) : policy_(policy) {
-    if (policy_.variant == RwLeVariant::kPes && policy_.use_rot) {
+    if (policy_.variant == RwLeVariant::kPes) {
       path_ = WritePath::kRot;
       trials_left_ = policy_.max_rot_retries;
     } else {
@@ -118,7 +112,7 @@ class PathPolicy {
   void Demote() {
     switch (path_) {
       case WritePath::kHtm:
-        if (policy_.use_rot && policy_.max_rot_retries > 0) {
+        if (policy_.max_rot_retries > 0) {
           path_ = WritePath::kRot;
           trials_left_ = policy_.max_rot_retries;
         } else {

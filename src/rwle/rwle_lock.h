@@ -70,8 +70,7 @@ class RwLeLock {
         throw;
       }
       --nesting.read_depth;
-      stats_.RecordCommit(CommitPath::kUninstrumentedRead);
-      return;
+      return;  // the outer section records the commit
     }
     // Read sections complete without being parked mid-section by the
     // preemption model; the deferred yield is delivered only after the
@@ -240,8 +239,9 @@ class RwLeLock {
 
   void EmitPathTransition(WritePath from, WritePath to) {
     if (from != to) {
-      EmitTraceEvent(policy_.trace_sink, TraceEventType::kPathTransition,
-                     static_cast<std::uint8_t>(from), static_cast<std::uint8_t>(to));
+      EmitTraceEvent(HtmRuntime::Global().trace_sink(),
+                     TraceEventType::kPathTransition, static_cast<std::uint8_t>(from),
+                     static_cast<std::uint8_t>(to));
     }
   }
 

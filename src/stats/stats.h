@@ -501,10 +501,11 @@ struct ThreadStats {
 
 // One shard per thread slot, cache-line separated. Deliberately a direct
 // static array, not lazily allocated shards like LatencyRegistry /
-// MemoryTraceSink lanes: a shard is one cache line (vs 64 KiB / 512 KiB
-// there), so even at kMaxThreads = 1024 the whole table is 128 KiB per lock
-// instance, and Local() sits on the per-operation hot path where an extra
-// pointer chase measurably regresses rwle_read_section (~+20% ns/op).
+// MemoryTraceSink lanes: a shard is 184 B of counters padded to two 128-B
+// lines (vs 64 KiB / 512 KiB there), so even at kMaxThreads = 1024 the
+// whole table is 256 KiB per lock instance, and Local() sits on the
+// per-operation hot path where an extra pointer chase measurably regresses
+// rwle_read_section (~+20% ns/op).
 class StatsRegistry {
  public:
   // The calling thread's shard (requires a registered ScopedThreadSlot).

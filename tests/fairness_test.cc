@@ -18,7 +18,7 @@ RwLePolicy FairNsOnlyPolicy() {
   // Straight to the NS path: the fairness machinery only engages there.
   RwLePolicy policy;
   policy.variant = RwLeVariant::kFair;
-  policy.use_rot = false;
+  policy.max_rot_retries = 0;
   policy.max_htm_retries = 0;
   return policy;
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -13,7 +14,6 @@
 #include "src/locks/bravo_lock.h"
 #include "src/locks/elidable_lock.h"
 #include "src/rwle/rwle_lock.h"
-#include "src/trace/trace_sink.h"
 
 namespace rwle {
 namespace {
@@ -50,7 +50,8 @@ TEST(LockFactoryTest, UnknownNamesReturnNull) {
 }
 
 // The scheme grammar "<base>[+<fallback>]": the suffix selects the
-// blocked-reader fallback on RW-LE bases and is rejected anywhere else.
+// blocked-reader fallback on RW-LE bases and is rejected anywhere else. It
+// is the only way to pick the fallback.
 TEST(LockFactoryTest, FallbackSuffixConfiguresRwLeBases) {
   const struct {
     const char* name;
@@ -60,8 +61,10 @@ TEST(LockFactoryTest, FallbackSuffixConfiguresRwLeBases) {
       {"rwle", RwLeVariant::kOpt, FallbackScheme::kCentralized},
       {"rwle+bravo", RwLeVariant::kOpt, FallbackScheme::kBravo},
       {"rwle+centralized", RwLeVariant::kOpt, FallbackScheme::kCentralized},
+      {"rwle-opt", RwLeVariant::kOpt, FallbackScheme::kCentralized},
       {"rwle-opt+bravo", RwLeVariant::kOpt, FallbackScheme::kBravo},
       {"rwle-pes+bravo", RwLeVariant::kPes, FallbackScheme::kBravo},
+      {"rwle-pes+centralized", RwLeVariant::kPes, FallbackScheme::kCentralized},
   };
   for (const auto& expected : cases) {
     auto lock = MakeLock(expected.name);
@@ -83,26 +86,6 @@ TEST(LockFactoryTest, InvalidCompositionsReturnNull) {
   EXPECT_EQ(MakeLock("+bravo"), nullptr);
 }
 
-// LockOptions::fallback is the programmatic spelling of the suffix; an
-// explicit suffix wins over the option so a sweep list stays authoritative.
-TEST(LockFactoryTest, FallbackOptionPropagatesAndSuffixOverrides) {
-  LockOptions options;
-  options.fallback = FallbackScheme::kBravo;
-
-  auto lock = MakeLock("rwle-opt", options);
-  ASSERT_NE(lock, nullptr);
-  auto* adapter = dynamic_cast<LockAdapter<RwLeLock>*>(lock.get());
-  ASSERT_NE(adapter, nullptr);
-  EXPECT_EQ(adapter->lock().policy().fallback, FallbackScheme::kBravo);
-
-  auto overridden = MakeLock("rwle+centralized", options);
-  ASSERT_NE(overridden, nullptr);
-  auto* overridden_adapter = dynamic_cast<LockAdapter<RwLeLock>*>(overridden.get());
-  ASSERT_NE(overridden_adapter, nullptr);
-  EXPECT_EQ(overridden_adapter->lock().policy().fallback,
-            FallbackScheme::kCentralized);
-}
-
 TEST(LockFactoryTest, StandaloneBravoConstructs) {
   auto lock = MakeLock("bravo");
   ASSERT_NE(lock, nullptr);
@@ -113,17 +96,14 @@ TEST(LockFactoryTest, StandaloneBravoConstructs) {
 }
 
 // LockOptions must actually reach the constructed lock, not just compile:
-// retry budgets, the quiescence mode and the trace sink all land in the
-// RwLePolicy of an RW-LE scheme.
+// both retry budgets land in the RwLePolicy of an RW-LE scheme, and the
+// suffix-chosen fallback survives alongside them.
 TEST(LockFactoryTest, OptionsPropagateIntoRwLePolicy) {
-  MemoryTraceSink sink(16);
   LockOptions options;
   options.max_htm_retries = 7;
   options.max_rot_retries = 3;
-  options.single_scan_ns_sync = false;
-  options.trace_sink = &sink;
 
-  auto lock = MakeLock("rwle-opt", options);
+  auto lock = MakeLock("rwle-opt+bravo", options);
   ASSERT_NE(lock, nullptr);
   auto* adapter = dynamic_cast<LockAdapter<RwLeLock>*>(lock.get());
   ASSERT_NE(adapter, nullptr);
@@ -131,33 +111,35 @@ TEST(LockFactoryTest, OptionsPropagateIntoRwLePolicy) {
   EXPECT_EQ(policy.variant, RwLeVariant::kOpt);
   EXPECT_EQ(policy.max_htm_retries, 7u);
   EXPECT_EQ(policy.max_rot_retries, 3u);
-  EXPECT_FALSE(policy.single_scan_ns_sync);
-  EXPECT_EQ(policy.trace_sink, &sink);
+  EXPECT_EQ(policy.fallback, FallbackScheme::kBravo);
 }
 
+// The ROT-less variants force a ROT budget of 0 whatever the options say.
 TEST(LockFactoryTest, VariantSchemesConfigureTheirPolicies) {
   const struct {
     const char* name;
     RwLeVariant variant;
-    bool use_rot;
+    std::uint32_t max_rot_retries;
     bool split;
     bool adaptive;
   } cases[] = {
-      {"rwle-opt", RwLeVariant::kOpt, true, false, false},
-      {"rwle-pes", RwLeVariant::kPes, true, false, false},
-      {"rwle-fair", RwLeVariant::kFair, false, false, false},
-      {"rwle-norot", RwLeVariant::kOpt, false, false, false},
-      {"rwle-split", RwLeVariant::kOpt, true, true, false},
-      {"rwle-adaptive", RwLeVariant::kOpt, true, false, true},
+      {"rwle-opt", RwLeVariant::kOpt, 3, false, false},
+      {"rwle-pes", RwLeVariant::kPes, 3, false, false},
+      {"rwle-fair", RwLeVariant::kFair, 0, false, false},
+      {"rwle-norot", RwLeVariant::kOpt, 0, false, false},
+      {"rwle-split", RwLeVariant::kOpt, 3, true, false},
+      {"rwle-adaptive", RwLeVariant::kOpt, 3, false, true},
   };
+  LockOptions options;
+  options.max_rot_retries = 3;
   for (const auto& expected : cases) {
-    auto lock = MakeLock(expected.name);
+    auto lock = MakeLock(expected.name, options);
     ASSERT_NE(lock, nullptr) << expected.name;
     auto* adapter = dynamic_cast<LockAdapter<RwLeLock>*>(lock.get());
     ASSERT_NE(adapter, nullptr) << expected.name;
     const RwLePolicy& policy = adapter->lock().policy();
     EXPECT_EQ(policy.variant, expected.variant) << expected.name;
-    EXPECT_EQ(policy.use_rot, expected.use_rot) << expected.name;
+    EXPECT_EQ(policy.max_rot_retries, expected.max_rot_retries) << expected.name;
     EXPECT_EQ(policy.split_rot_ns_locks, expected.split) << expected.name;
     EXPECT_EQ(policy.adaptive, expected.adaptive) << expected.name;
   }
@@ -193,7 +175,7 @@ TEST(LockFactoryTest, DefaultOptionsMatchDocumentedDefaults) {
   EXPECT_EQ(policy.max_htm_retries, 5u);
   EXPECT_EQ(policy.max_rot_retries, 5u);
   EXPECT_TRUE(policy.single_scan_ns_sync);
-  EXPECT_EQ(policy.trace_sink, nullptr);
+  EXPECT_EQ(policy.fallback, FallbackScheme::kCentralized);
 }
 
 // Every factory lock owns a latency registry and records into it through

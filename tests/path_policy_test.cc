@@ -53,12 +53,16 @@ TEST(PathPolicyTest, PesStartsAtRot) {
 
 TEST(PathPolicyTest, NoRotSkipsRotPath) {
   RwLePolicy config;
-  config.use_rot = false;
+  config.max_rot_retries = 0;
   config.max_htm_retries = 1;
   PathPolicy policy(config);
   EXPECT_EQ(policy.current(), WritePath::kHtm);
   policy.OnAbort(false);
   EXPECT_EQ(policy.current(), WritePath::kNs);
+
+  // PES starts on the ROT path, so a ROT budget of 0 means NS right away.
+  config.variant = RwLeVariant::kPes;
+  EXPECT_EQ(PathPolicy(config).current(), WritePath::kNs);
 }
 
 TEST(PathPolicyTest, ZeroHtmRetriesStartsDemoted) {

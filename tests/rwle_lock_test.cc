@@ -121,7 +121,7 @@ TEST_F(RwLeLockTest, NoRotPolicyFallsFromHtmToNs) {
   Rt().set_config(config);
 
   RwLePolicy policy;
-  policy.use_rot = false;
+  policy.max_rot_retries = 0;
   RwLeLock lock(policy);
   struct alignas(kCacheLineBytes) Cell {
     TxVar<std::uint64_t> v;
@@ -477,6 +477,40 @@ TEST_F(RwLeLockTest, NestedWriteSectionsAreFlattened) {
   EXPECT_EQ(cell.LoadDirect(), 3u);
   // Exactly one commit for the whole flattened section.
   EXPECT_EQ(lock.stats().Aggregate().TotalCommits(), 1u);
+}
+
+// A nested Read is part of the outer section and records no commit of its
+// own -- not on the committing attempt, and not on the aborted attempts the
+// outer Write retried (each used to leak one uninstrumented-read commit).
+TEST_F(RwLeLockTest, NestedReadInsideWriteRecordsOnlyTheOuterCommit) {
+  ScopedThreadSlot slot;
+  struct alignas(kCacheLineBytes) Cell {
+    TxVar<std::uint64_t> v;
+  };
+  std::vector<Cell> cells(4);
+  {
+    RwLeLock lock;
+    lock.Write([&] { lock.Read([&] { (void)cells[0].v.Load(); }); });
+    const ThreadStats stats = lock.stats().Aggregate();
+    EXPECT_EQ(stats.TotalCommits(), 1u);
+    EXPECT_EQ(stats.commits[static_cast<int>(CommitPath::kHtm)], 1u);
+  }
+
+  HtmConfig config = Rt().config();
+  config.max_write_lines = 2;
+  Rt().set_config(config);
+  RwLeLock lock;
+  // Four stored lines exceed HTM and ROT write capacity: two aborted
+  // attempts, then the NS path.
+  lock.Write([&] {
+    lock.Read([&] { (void)cells[0].v.Load(); });
+    for (auto& cell : cells) {
+      cell.v.Store(1);
+    }
+  });
+  const ThreadStats stats = lock.stats().Aggregate();
+  EXPECT_EQ(stats.TotalCommits(), 1u);
+  EXPECT_EQ(stats.commits[static_cast<int>(CommitPath::kSerial)], 1u);
 }
 
 TEST_F(RwLeLockTest, ReadInsideWriteIsSubsumed) {

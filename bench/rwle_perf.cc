@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "src/htm/htm_runtime.h"
 #include "src/htm/tx_write_set.h"
 #include "src/locks/bravo_lock.h"
+#include "src/locks/lock_factory.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/rwle_lock.h"
 #include "src/trace/trace_sink.h"
@@ -223,6 +225,21 @@ void QuiescenceScan(std::uint64_t ops) {
   }
 }
 
+// One op = the life of a lock that one thread uses once: build an rwle-opt
+// lock through the factory, take one Read (which allocates the thread's
+// slot-table segment and its latency histogram), destroy it. Per-lock
+// state grows with the threads that use the lock, so this stays cheap
+// even though the lock accepts kMaxThreads threads.
+void RwLeLockConstruct(std::uint64_t ops) {
+  static TxVar<std::uint64_t> cell(1);
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    const std::unique_ptr<ElidableLock> lock = MakeLock("rwle-opt");
+    std::uint64_t value = 0;
+    lock->Read([&] { value = cell.Load(); });
+    KeepAlive(value);
+  }
+}
+
 // Trace-ring append with a live sink: event construction, per-lane seq
 // stamping, lock-free ring push (wraps and overwrites once full).
 void TraceRingAppend(std::uint64_t ops) {
@@ -266,6 +283,8 @@ constexpr MicroBench kBenchmarks[] = {
      BravoRevoke},
     {"quiescence_scan", "RwLeLock.Synchronize with no readers", QuiescenceScan},
     {"trace_ring_append", "EmitTraceEvent into a MemoryTraceSink lane", TraceRingAppend},
+    {"rwle_lock_construct", "MakeLock(\"rwle-opt\") + first Read + destroy",
+     RwLeLockConstruct},
 };
 
 PerfBenchmarkResult RunBench(const MicroBench& bench, std::uint64_t ops,

@@ -148,15 +148,15 @@ void ChoppedSection::RunNsFallback(std::uint32_t slot, std::uint64_t token,
 void ChoppedSection::WriteImpl(std::size_t piece_count, PieceRef piece) {
   const std::uint32_t slot = CurrentThreadSlot();
   RWLE_CHECK(slot != kInvalidThreadSlot);
-  RwLeLock::Nesting& nesting = lock_.nesting_[slot];
-  RWLE_CHECK(nesting.read_depth == 0 && nesting.write_depth == 0 &&
+  RwLeLock::Slot& self = lock_.slots_.Local(slot);
+  RWLE_CHECK(self.read_depth == 0 && self.write_depth == 0 &&
              "chopped sections do not nest with lock sections");
   if (piece_count == 0) {
     return;
   }
   // Mark the thread as inside a write section so a stray nested lock_.Read
   // in a piece body flattens (subsumed) instead of deadlocking on the token.
-  const RwLeLock::NestingScope write_scope(&nesting.write_depth);
+  const RwLeLock::NestingScope write_scope(&self.write_depth);
 
   HtmRuntime& runtime = HtmRuntime::Global();
   StatsRegistry& stats = lock_.stats();

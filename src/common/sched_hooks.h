@@ -43,9 +43,10 @@ enum class SchedPoint : std::uint8_t {
   kSpinWait = 15,     // one SpinBackoff iteration of any spin loop
   kPreemptYield = 16, // preemption-model yield (MaybePreempt / defer scope)
   kRoundStart = 17,   // synthetic: first pick when all participants arrived
+  kSlotPublish = 18,  // a lock's per-slot segment was just published
 };
 
-inline constexpr std::uint8_t kNumSchedPoints = 18;
+inline constexpr std::uint8_t kNumSchedPoints = 19;
 
 constexpr const char* SchedPointName(SchedPoint point) {
   switch (point) {
@@ -67,6 +68,7 @@ constexpr const char* SchedPointName(SchedPoint point) {
     case SchedPoint::kSpinWait: return "spin-wait";
     case SchedPoint::kPreemptYield: return "preempt-yield";
     case SchedPoint::kRoundStart: return "round-start";
+    case SchedPoint::kSlotPublish: return "slot-publish";
   }
   return "?";
 }

@@ -66,7 +66,7 @@ class LockAdapter final : public ElidableLock {
       Dispatch(op, fn);
       return;
     }
-    const ThreadStats& local = lock_.stats().Local();
+    const ThreadStats& local = lock_.stats().Local(slot);
     std::uint64_t before[kCommitPathCount];
     for (int i = 0; i < kCommitPathCount; ++i) {
       before[i] = local.commits[i];

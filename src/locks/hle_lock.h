@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "src/common/check.h"
+#include "src/common/cpu.h"
 #include "src/common/thread_registry.h"
 #include "src/htm/htm_runtime.h"
 #include "src/rwle/lock_word.h"
@@ -110,8 +111,11 @@ class HleLock {
     stats_.RecordCommit(CommitPath::kSerial);
   }
 
-  LockWord lock_;
-  std::uint32_t max_retries_;
+  // The lock word has a conflict-table line to itself: the fabric models
+  // false sharing per 128-B line, so a neighbouring heap cell would conflict
+  // with every subscribed transaction.
+  alignas(kCacheLineBytes) LockWord lock_;
+  alignas(kCacheLineBytes) std::uint32_t max_retries_;
   StatsRegistry stats_;
 };
 

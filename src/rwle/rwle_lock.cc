@@ -4,21 +4,25 @@
 
 namespace rwle {
 
-RwLeLock::RwLeLock(const RwLePolicy& policy) : policy_(policy) {}
+RwLeLock::RwLeLock(const RwLePolicy& policy)
+    : policy_(policy),
+      fallback_table_(policy.fallback == FallbackScheme::kBravo
+                          ? std::make_unique<BravoReaderTable>()
+                          : nullptr) {}
 
 // Algorithm 2 lines 11-17 with the §3.3 entry optimization: optimistically
 // raise the clock first, so the uncontended case costs a single lock-word
 // check; only on collision with a non-speculative writer do we back out,
 // wait, and retry.
-void RwLeLock::ReadEnter(std::uint32_t slot) {
+void RwLeLock::ReadEnter(std::uint32_t slot, Slot& self) {
   for (;;) {
-    clocks_.Enter(slot);
+    clocks_.Enter(slot, self.clock);
     if (wlock_.State() != LockState::kNsLocked) {
       return;
     }
     // A non-speculative writer is in (or slipped in): defer to it through
     // the configured fallback scheme.
-    clocks_.Exit(slot);
+    clocks_.Exit(slot, self.clock);
     EmitTraceEvent(HtmRuntime::Global().trace_sink(), TraceEventType::kReaderBlockBegin);
     if (policy_.fallback == FallbackScheme::kBravo) {
       BravoReaderWait(slot);
@@ -68,7 +72,7 @@ void RwLeLock::ReadEnter(std::uint32_t slot) {
 // the registry high watermark instead of walking all kSlots.
 
 void RwLeLock::BravoReaderWait(std::uint32_t slot) {
-  std::atomic<std::uint64_t>& word = fallback_table_.Word(slot);
+  std::atomic<std::uint64_t>& word = fallback_table_->Word(slot);
   const std::uint64_t current = word.load();
   if (BravoReaderTable::EntryState(current) == BravoReaderTable::kActive &&
       BravoReaderTable::EntryOwner(current) == slot) {
@@ -76,10 +80,10 @@ void RwLeLock::BravoReaderWait(std::uint32_t slot) {
     // our lock re-check. Downgrade so that writer's drain stops waiting on
     // us (hook first: txsan must see the section closed no later than the
     // drain can observe the downgrade).
-    RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnReaderExit(slot, &fallback_table_));
+    RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnReaderExit(slot, fallback_table_.get()));
     word.store(BravoReaderTable::Encode(slot, BravoReaderTable::kParked));
     CostMeter::Global().Charge(CostModel::kLockOp);
-  } else if (!fallback_table_.TryClaim(slot, slot, BravoReaderTable::kParked)) {
+  } else if (!fallback_table_->TryClaim(slot, slot, BravoReaderTable::kParked)) {
     // Unreachable under identity indexing (nobody else claims our slot's
     // entry), but degrade to the centralized wait rather than corrupt the
     // table if the invariant is ever broken.
@@ -97,7 +101,7 @@ void RwLeLock::BravoReaderWait(std::uint32_t slot) {
     if (word.compare_exchange_strong(
             expected, BravoReaderTable::Encode(slot, BravoReaderTable::kActive))) {
       CostMeter::Global().Charge(CostModel::kLockOp);
-      RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnReaderEnter(slot, &fallback_table_));
+      RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnReaderEnter(slot, fallback_table_.get()));
       return;
     }
     // CAS lost to a concurrent grant; take it in the loop below.
@@ -108,7 +112,7 @@ void RwLeLock::BravoReaderWait(std::uint32_t slot) {
     if (BravoReaderTable::EntryState(word.load()) == BravoReaderTable::kGranted) {
       word.store(BravoReaderTable::Encode(slot, BravoReaderTable::kActive));
       CostMeter::Global().Charge(CostModel::kLockOp);
-      RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnReaderEnter(slot, &fallback_table_));
+      RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnReaderEnter(slot, fallback_table_.get()));
       return;
     }
     SpinBackoff(spins++);
@@ -116,7 +120,7 @@ void RwLeLock::BravoReaderWait(std::uint32_t slot) {
 }
 
 void RwLeLock::BravoReaderExit(std::uint32_t slot) {
-  std::atomic<std::uint64_t>& word = fallback_table_.Word(slot);
+  std::atomic<std::uint64_t>& word = fallback_table_->Word(slot);
   // Relaxed: we only act on our own entry, and only this thread ever stores
   // our slot in kActive state, so a stale read can at worst miss an entry
   // this thread does not hold.
@@ -125,15 +129,15 @@ void RwLeLock::BravoReaderExit(std::uint32_t slot) {
       BravoReaderTable::EntryOwner(entry) == slot) {
     // Hook before the withdraw: txsan must see the section closed no later
     // than a draining writer can observe the entry empty.
-    RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnReaderExit(slot, &fallback_table_));
-    fallback_table_.Withdraw(slot);
+    RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnReaderExit(slot, fallback_table_.get()));
+    fallback_table_->Withdraw(slot);
   }
 }
 
 void RwLeLock::BravoDrainAdmitted(std::uint32_t slot) {
   EmitTraceEvent(HtmRuntime::Global().trace_sink(), slot,
                  TraceEventType::kBravoRevokeBegin);
-  RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnQuiescenceBegin(slot, &fallback_table_));
+  RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnQuiescenceBegin(slot, fallback_table_.get()));
   // Identity indexing: every parked/admitted reader sits at its registry
   // slot, so the sweep stops at the high watermark.
   const std::uint32_t n = ThreadRegistry::Global().HighWatermark();
@@ -143,12 +147,12 @@ void RwLeLock::BravoDrainAdmitted(std::uint32_t slot) {
     bool counted = false;
     std::uint32_t spins = 0;
     for (;;) {
-      RWLE_SCHED_POINT(kLockAcquire, &fallback_table_.Word(i));
+      RWLE_SCHED_POINT(kLockAcquire, &fallback_table_->Word(i));
       // Acquire: pairs with the admitted reader's releasing withdraw (or
       // its seq_cst downgrade), so its section loads complete before this
       // writer's section stores.
       const std::uint64_t entry =
-          fallback_table_.Word(i).load(std::memory_order_acquire);
+          fallback_table_->Word(i).load(std::memory_order_acquire);
       if (BravoReaderTable::EntryState(entry) != BravoReaderTable::kActive) {
         break;  // empty, parked, or granted: not (and cannot get) in-section
       }
@@ -159,7 +163,7 @@ void RwLeLock::BravoDrainAdmitted(std::uint32_t slot) {
       SpinBackoff(spins++);
     }
   }
-  RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnQuiescenceEnd(slot, &fallback_table_));
+  RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnQuiescenceEnd(slot, fallback_table_.get()));
   stats_.RecordBravo(BravoCounter::kRevocation);
   stats_.RecordBravo(BravoCounter::kRevokedReader, drained);
   EmitTraceEvent(HtmRuntime::Global().trace_sink(), slot,
@@ -170,7 +174,7 @@ void RwLeLock::BravoGrantParked() {
   const std::uint32_t n = ThreadRegistry::Global().HighWatermark();
   CostMeter::Global().Charge(BravoReaderTable::ScanCharge(n));
   for (std::uint32_t i = 0; i < n; ++i) {
-    std::atomic<std::uint64_t>& word = fallback_table_.Word(i);
+    std::atomic<std::uint64_t>& word = fallback_table_->Word(i);
     RWLE_SCHED_POINT(kLockRelease, &word);
     std::uint64_t entry = word.load();
     if (BravoReaderTable::EntryState(entry) != BravoReaderTable::kParked) {
@@ -189,12 +193,12 @@ void RwLeLock::BravoGrantParked() {
 // clock, so a writer can tell whether this reader predates its acquisition
 // (copied version < writer's version => wait) or not (=> skip; the reader
 // is itself waiting for the writer to release).
-void RwLeLock::ReadEnterFair(std::uint32_t slot) {
-  clocks_.Enter(slot);
+void RwLeLock::ReadEnterFair(std::uint32_t slot, Slot& self) {
+  clocks_.Enter(slot, self.clock);
   std::uint32_t spins = 0;
   for (;;) {
     const std::uint64_t word = wlock_.Load();
-    local_locks_[slot].word.store(word, std::memory_order_seq_cst);
+    self.fair_word.store(word, std::memory_order_seq_cst);
     if (LockWordState(word) != LockState::kNsLocked) {
       return;
     }
@@ -310,28 +314,29 @@ void RwLeLock::SynchronizeNs(std::uint64_t held_word) {
   // FAIR: wait only for readers that entered before this acquisition
   // (their published lock-word copy has a smaller version). Readers that
   // entered after are waiting for our release and must not be waited upon.
+  // An unpublished segment holds only readers that have not entered yet.
   const std::uint64_t my_version = LockWordVersion(held_word);
-  const std::uint32_t n = ThreadRegistry::Global().HighWatermark();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint32_t spins = 0;
-    for (;;) {
-      const std::uint64_t clock = clocks_.Value(i);
-      if (!EpochClocks::IsInCriticalSection(clock)) {
-        break;
-      }
-      const std::uint64_t copied = local_locks_[i].word.load(std::memory_order_seq_cst);
-      if (LockWordVersion(copied) >= my_version) {
-        break;  // reader started after us (or is waiting on us)
-      }
-      // Re-check both conditions: the reader either leaves its critical
-      // section or publishes a fresher lock-word copy.
-      if (clocks_.Value(i) != clock ||
-          local_locks_[i].word.load(std::memory_order_seq_cst) != copied) {
-        continue;
-      }
-      SpinBackoff(spins++);
-    }
-  }
+  slots_.ForEachPublished(
+      ThreadRegistry::Global().HighWatermark(), [&](std::uint32_t, const Slot& reader) {
+        std::uint32_t spins = 0;
+        for (;;) {
+          const std::uint64_t clock = reader.clock.load(std::memory_order_seq_cst);
+          if (!EpochClocks::IsInCriticalSection(clock)) {
+            break;
+          }
+          const std::uint64_t copied = reader.fair_word.load(std::memory_order_seq_cst);
+          if (LockWordVersion(copied) >= my_version) {
+            break;  // reader started after us (or is waiting on us)
+          }
+          // Re-check both conditions: the reader either leaves its critical
+          // section or publishes a fresher lock-word copy.
+          if (reader.clock.load(std::memory_order_seq_cst) != clock ||
+              reader.fair_word.load(std::memory_order_seq_cst) != copied) {
+            continue;
+          }
+          SpinBackoff(spins++);
+        }
+      });
 }
 
 }  // namespace rwle

@@ -19,14 +19,24 @@
 //
 // Critical sections are closures (see DESIGN.md §1); shared state inside
 // them must be accessed through TxVar.
+//
+// All per-thread state of a lock -- epoch clock, nesting depths, the FAIR
+// lock-word copy and the statistics counters -- sits in one record per
+// registry slot, kept in a SlotTable (src/common/slot_table.h) and looked
+// up once per Read/Write. A lock therefore holds memory only for the
+// segments of slots that have used it (DESIGN.md §12).
 #ifndef RWLE_SRC_RWLE_RWLE_LOCK_H_
 #define RWLE_SRC_RWLE_RWLE_LOCK_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/sched_hooks.h"
+#include "src/common/slot_table.h"
 #include "src/common/thread_registry.h"
 #include "src/htm/htm_runtime.h"
 #include "src/htm/preemption.h"
@@ -59,17 +69,18 @@ class RwLeLock {
   void Read(Fn&& fn) {
     const std::uint32_t slot = CurrentThreadSlot();
     RWLE_CHECK(slot != kInvalidThreadSlot);
-    Nesting& nesting = nesting_[slot];
-    if (nesting.write_depth > 0 || nesting.read_depth > 0) {
+    Slot* found = slots_.Find(slot);
+    Slot& self = found != nullptr ? *found : FirstRead(slot);
+    if (self.write_depth > 0 || self.read_depth > 0) {
       // Nested: the outer critical section already provides the guarantees.
-      ++nesting.read_depth;
+      ++self.read_depth;
       try {
         fn();
       } catch (...) {
-        --nesting.read_depth;
+        --self.read_depth;
         throw;
       }
-      --nesting.read_depth;
+      --self.read_depth;
       return;  // the outer section records the commit
     }
     // Read sections complete without being parked mid-section by the
@@ -77,23 +88,23 @@ class RwLeLock {
     // epoch clock goes even again (see src/htm/preemption.h).
     const PreemptionDeferScope defer;
     if (policy_.variant == RwLeVariant::kFair) {
-      ReadEnterFair(slot);
+      ReadEnterFair(slot, self);
     } else {
-      ReadEnter(slot);
+      ReadEnter(slot, self);
     }
-    nesting.read_depth = 1;
+    self.read_depth = 1;
     try {
       fn();
     } catch (...) {
-      nesting.read_depth = 0;
-      clocks_.Exit(slot);
+      self.read_depth = 0;
+      clocks_.Exit(slot, self.clock);
       ReadExitFallback(slot);
       throw;
     }
-    nesting.read_depth = 0;
-    clocks_.Exit(slot);
+    self.read_depth = 0;
+    clocks_.Exit(slot, self.clock);
     ReadExitFallback(slot);
-    stats_.RecordCommit(CommitPath::kUninstrumentedRead);
+    self.stats.RecordCommit(CommitPath::kUninstrumentedRead);
   }
 
   // Executes `fn` as a write critical section, retrying across the HTM /
@@ -104,23 +115,23 @@ class RwLeLock {
   void Write(Fn&& fn) {
     const std::uint32_t slot = CurrentThreadSlot();
     RWLE_CHECK(slot != kInvalidThreadSlot);
-    Nesting& nesting = nesting_[slot];
-    RWLE_CHECK(nesting.read_depth == 0 &&
+    Slot& self = slots_.Local(slot);
+    RWLE_CHECK(self.read_depth == 0 &&
                "lock upgrade (Write inside Read) is not supported");
-    if (nesting.write_depth > 0) {
+    if (self.write_depth > 0) {
       // Flattened nesting: the outer write section already holds the lock
       // (or speculates); just run the body as part of it.
-      ++nesting.write_depth;
+      ++self.write_depth;
       try {
         fn();
       } catch (...) {
-        --nesting.write_depth;
+        --self.write_depth;
         throw;
       }
-      --nesting.write_depth;
+      --self.write_depth;
       return;
     }
-    const NestingScope write_scope(&nesting.write_depth);
+    const NestingScope write_scope(&self.write_depth);
     HtmRuntime& runtime = HtmRuntime::Global();
     // Analysis builds: bracket the (outermost) elided write section so txsan
     // can require a quiescence scan before any commit inside it.
@@ -141,12 +152,12 @@ class RwLeLock {
             HtmPrologue();
             RunSpeculative(fn);
             HtmEpilogue();
-            stats_.RecordCommit(CommitPath::kHtm);
+            self.stats.RecordCommit(CommitPath::kHtm);
             ReportAdaptive(CommitPath::kHtm, htm_aborts, rot_aborts);
             return;
           } catch (const TxAbortException& abort) {
             ++htm_aborts;
-            stats_.RecordAbort(abort.kind(), abort.cause());
+            self.stats.RecordAbort(abort.kind(), abort.cause());
             const WritePath before = path.current();
             path.OnAbort(abort.persistent());
             EmitPathTransition(before, path.current());
@@ -163,13 +174,13 @@ class RwLeLock {
             RunSpeculative(fn);
             RotEpilogue();
             ReleaseRotPath(held);
-            stats_.RecordCommit(CommitPath::kRot);
+            self.stats.RecordCommit(CommitPath::kRot);
             ReportAdaptive(CommitPath::kRot, htm_aborts, rot_aborts);
             return;
           } catch (const TxAbortException& abort) {
             ++rot_aborts;
             ReleaseRotPath(held);
-            stats_.RecordAbort(abort.kind(), abort.cause());
+            self.stats.RecordAbort(abort.kind(), abort.cause());
             const WritePath before = path.current();
             path.OnAbort(abort.persistent());
             EmitPathTransition(before, path.current());
@@ -194,7 +205,7 @@ class RwLeLock {
             throw;  // NS sections cannot abort; this is a user exception
           }
           ReleaseNsPath(held);
-          stats_.RecordCommit(CommitPath::kSerial);
+          self.stats.RecordCommit(CommitPath::kSerial);
           ReportAdaptive(CommitPath::kSerial, htm_aborts, rot_aborts);
           return;
         }
@@ -245,8 +256,30 @@ class RwLeLock {
     }
   }
 
-  void ReadEnter(std::uint32_t slot);
-  void ReadEnterFair(std::uint32_t slot);
+  // Per-thread state, one record per registry slot (touched only by the
+  // owning thread, except the clock and the FAIR lock-word copy, which
+  // writers scan). Zero is the initial state of every field, as SlotTable
+  // requires. One 128-B line pair per slot: 16 slots make a 4 KiB segment.
+  struct alignas(kCacheLineBytes) Slot {
+    EpochClocks::Clock clock{0};
+    // FAIR variant: this reader's copy of the lock word taken on entry.
+    std::atomic<std::uint64_t> fair_word{0};
+    std::uint32_t read_depth = 0;
+    std::uint32_t write_depth = 0;
+    ThreadStats stats;
+  };
+
+  // A Read that found its segment unpublished: publish it. The scheduling
+  // point lets the explorer run a writer's scan between the publish and the
+  // reader's first clock increment (DESIGN.md §12).
+  Slot& FirstRead(std::uint32_t slot) {
+    Slot& self = slots_.Local(slot);
+    RWLE_SCHED_POINT(kSlotPublish, &self);
+    return self;
+  }
+
+  void ReadEnter(std::uint32_t slot, Slot& self);
+  void ReadEnterFair(std::uint32_t slot, Slot& self);
 
   // BRAVO fallback (policy_.fallback == kBravo): a reader that collides
   // with the NS lock parks in its private fallback_table_ entry instead of
@@ -300,13 +333,6 @@ class RwLeLock {
   // wait of the FAIR variant.
   void SynchronizeNs(std::uint64_t held_word);
 
-  // Per-thread critical-section nesting (touched only by the owning
-  // thread).
-  struct alignas(kCacheLineBytes) Nesting {
-    std::uint32_t read_depth = 0;
-    std::uint32_t write_depth = 0;
-  };
-
   class NestingScope {
    public:
     explicit NestingScope(std::uint32_t* depth) : depth_(depth) { ++*depth_; }
@@ -319,23 +345,22 @@ class RwLeLock {
   };
 
   RwLePolicy policy_;
-  LockWord wlock_;
+  // The two lock words share one conflict-table line and nothing else does:
+  // the fabric models false sharing per 128-B line, so a neighbouring heap
+  // cell would conflict with every subscribed transaction.
+  alignas(kCacheLineBytes) LockWord wlock_;
   // Split-lock mode only: serializes ROT writers, leaving wlock_ to the NS
   // path. Hardware transactions subscribe to it lazily at commit.
   LockWord rot_lock_;
   // BRAVO fallback only: distributed parking table for readers blocked by
-  // an NS writer. Untouched (8 KiB of cold zeros) under kCentralized.
-  BravoReaderTable fallback_table_;
-  EpochClocks clocks_;
-  StatsRegistry stats_;
+  // an NS writer. Null under kCentralized: its constructor writes all
+  // 8 KiB of entries, so it is allocated only for the locks that use it.
+  alignas(kCacheLineBytes) std::unique_ptr<BravoReaderTable> fallback_table_;
+  SlotTable<Slot> slots_;
+  // Views of slots_: the clock and stats members of every record.
+  EpochClocks clocks_{slots_.Column<EpochClocks::Clock>(offsetof(Slot, clock))};
+  StatsRegistry stats_{slots_.Column<ThreadStats>(offsetof(Slot, stats))};
   AdaptiveTuner tuner_;
-  Nesting nesting_[kMaxThreads];
-
-  // FAIR variant: each reader's copy of the lock word taken on entry.
-  struct alignas(kCacheLineBytes) LocalLock {
-    std::atomic<std::uint64_t> word{0};
-  };
-  LocalLock local_locks_[kMaxThreads];
 };
 
 }  // namespace rwle

@@ -1,8 +1,11 @@
 #include "src/sched/litmus.h"
 
 #include <new>
+#include <vector>
 
 #include "src/chop/chopped_section.h"
+#include "src/common/slot_table.h"
+#include "src/common/thread_registry.h"
 #include "src/htm/abort.h"
 #include "src/htm/htm_runtime.h"
 #include "src/htm/hw_profile.h"
@@ -494,6 +497,70 @@ class LimitedScan final : public LitmusRun {
   bool torn_committed_ = false;  // written only by the reader thread
 };
 
+// A reader's first-ever Read on a lock -- segment allocation, publish,
+// clock increment -- racing an HTM writer's quiescence scan. The constructor
+// claims registry slots until the lowest free one is the last of its
+// segment, so the two workers land in different slot-table segments and the
+// reader publishes its own: the writer's scan can then find the reader's
+// segment unpublished, published with an even clock, or odd (the
+// slot-publish scheduling point opens the middle window). Each must be
+// safe, so the reader never sees the pair out of lockstep.
+class FirstTouchReader final : public LitmusRun {
+ public:
+  static constexpr std::uint32_t kThreads = 2;
+  static constexpr std::uint64_t kWrites = 2;
+
+  FirstTouchReader() {
+    for (;;) {
+      const std::uint32_t slot = ThreadRegistry::Global().Register();
+      if ((slot + 1) % kSlotSegmentSize == 0) {
+        ThreadRegistry::Global().Unregister(slot);
+        break;
+      }
+      held_slots_.push_back(slot);
+    }
+  }
+
+  ~FirstTouchReader() override {
+    for (const std::uint32_t slot : held_slots_) {
+      ThreadRegistry::Global().Unregister(slot);
+    }
+  }
+
+  FirstTouchReader(const FirstTouchReader&) = delete;
+  FirstTouchReader& operator=(const FirstTouchReader&) = delete;
+
+  void Thread(std::uint32_t tid) override {
+    if (tid == 0) {
+      for (std::uint64_t i = 0; i < kWrites; ++i) {
+        lock_.Write([this] {
+          x_.Store(x_.Load() + 1);
+          y_.Store(y_.Load() + 1);
+        });
+      }
+    } else {
+      for (std::uint64_t i = 0; i < kWrites; ++i) {
+        lock_.Read([this] {
+          if (x_.Load() != y_.Load()) {
+            torn_ = true;
+          }
+        });
+      }
+    }
+  }
+
+  bool Verify() override {
+    return !torn_ && x_.Load() == kWrites && y_.Load() == kWrites;
+  }
+
+ private:
+  std::vector<std::uint32_t> held_slots_;
+  RwLeLock lock_;  // default policy: HTM writes, quiescence while suspended
+  TxVar<std::uint64_t> x_{0};
+  TxVar<std::uint64_t> y_{0};
+  bool torn_ = false;  // written only by the reader thread
+};
+
 }  // namespace
 
 const std::vector<LitmusSpec>& AllLitmus() {
@@ -532,6 +599,10 @@ const std::vector<LitmusSpec>& AllLitmus() {
        "reader footprint exceeds tracked lines; torn commit under --hw=limited-k",
        LimitedScan::kThreads, /*intentionally_buggy=*/false,
        &ArenaMake<LimitedScan>},
+      {"first-touch-reader",
+       "reader's first Read (segment publish, clock increment) races an HTM writer's scan",
+       FirstTouchReader::kThreads, /*intentionally_buggy=*/false,
+       &ArenaMake<FirstTouchReader>},
   };
   return specs;
 }

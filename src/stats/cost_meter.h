@@ -131,19 +131,24 @@ class CostMeter {
     return totals.parallel + totals.writer_serial + totals.global_serial;
   }
 
+  // Harvest and reset walk only the slots below the registry high
+  // watermark: no thread has ever charged a shard past it.
   Totals Aggregate() const {
     Totals totals;
-    for (const auto& shard : shards_) {
-      totals.parallel += shard.totals.parallel;
-      totals.writer_serial += shard.totals.writer_serial;
-      totals.global_serial += shard.totals.global_serial;
+    const std::uint32_t end = ThreadRegistry::Global().HighWatermark();
+    for (std::uint32_t slot = 0; slot < end; ++slot) {
+      const Totals& shard = shards_[slot].totals;
+      totals.parallel += shard.parallel;
+      totals.writer_serial += shard.writer_serial;
+      totals.global_serial += shard.global_serial;
     }
     return totals;
   }
 
   void Reset() {
-    for (auto& shard : shards_) {
-      shard.totals = Totals{};
+    const std::uint32_t end = ThreadRegistry::Global().HighWatermark();
+    for (std::uint32_t slot = 0; slot < end; ++slot) {
+      shards_[slot].totals = Totals{};
     }
   }
 

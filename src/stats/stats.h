@@ -4,15 +4,23 @@
 // categories in the figures' legends).
 //
 // Counters are sharded per thread slot and written without synchronization
-// by the owning thread; aggregation happens between runs.
+// by the owning thread; aggregation happens between runs. Shards live in a
+// SlotTable (src/common/slot_table.h), so a registry holds memory only for
+// the segments of slots that have recorded something: either its own table
+// of padded shards, or -- for a lock that keeps all of its per-slot state
+// in one record, like RwLeLock -- a view of the ThreadStats member of that
+// lock's records.
 #ifndef RWLE_SRC_STATS_STATS_H_
 #define RWLE_SRC_STATS_STATS_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/common/cpu.h"
+#include "src/common/slot_table.h"
 #include "src/common/thread_registry.h"
 #include "src/htm/abort.h"
 
@@ -428,6 +436,20 @@ struct ThreadStats {
   std::uint64_t bravo[kBravoCounterCount] = {};
   std::uint64_t chop[kChopCounterCount] = {};
 
+  void RecordCommit(CommitPath path) { commits[static_cast<int>(path)]++; }
+
+  void RecordAbort(TxKind kind, AbortCause cause) {
+    aborts[static_cast<int>(ClassifyAbort(kind, cause))]++;
+  }
+
+  void RecordBravo(BravoCounter counter, std::uint64_t n = 1) {
+    bravo[static_cast<int>(counter)] += n;
+  }
+
+  void RecordChop(ChopCounter counter, std::uint64_t n = 1) {
+    chop[static_cast<int>(counter)] += n;
+  }
+
   std::uint64_t TotalCommits() const {
     std::uint64_t total = 0;
     for (const auto c : commits) {
@@ -499,46 +521,50 @@ struct ThreadStats {
   }
 };
 
-// One shard per thread slot, cache-line separated. Deliberately a direct
-// static array, not lazily allocated shards like LatencyRegistry /
-// MemoryTraceSink lanes: a shard is 184 B of counters padded to two 128-B
-// lines (vs 64 KiB / 512 KiB there), so even at kMaxThreads = 1024 the
-// whole table is 256 KiB per lock instance, and Local() sits on the
-// per-operation hot path where an extra pointer chase measurably regresses
-// rwle_read_section (~+20% ns/op).
+// Per-slot ThreadStats on a SlotTable. Recording is an unsynchronized
+// owner-thread write to the calling thread's shard; Aggregate/Reset walk the
+// published segments below the registry high watermark and must run while
+// no thread records (between runs, or with workers parked on a barrier).
 class StatsRegistry {
  public:
+  // Owns its shards: one ThreadStats per slot, padded to cache lines.
+  StatsRegistry()
+      : own_(std::make_unique<SlotTable<Shard>>()),
+        shards_(own_->Column<ThreadStats>(offsetof(Shard, stats))) {}
+
+  // Views the ThreadStats member of another table's records.
+  explicit StatsRegistry(SlotColumn<ThreadStats> shards) : shards_(shards) {}
+
+  StatsRegistry(const StatsRegistry&) = delete;
+  StatsRegistry& operator=(const StatsRegistry&) = delete;
+
   // The calling thread's shard (requires a registered ScopedThreadSlot).
-  ThreadStats& Local() { return shards_[CurrentThreadSlot()].stats; }
+  ThreadStats& Local() { return Local(CurrentThreadSlot()); }
+  // `slot` must be the calling thread's slot.
+  ThreadStats& Local(std::uint32_t slot) { return shards_.Local(slot); }
 
-  void RecordCommit(CommitPath path) {
-    Local().commits[static_cast<int>(path)]++;
-  }
+  void RecordCommit(CommitPath path) { Local().RecordCommit(path); }
 
-  void RecordAbort(TxKind kind, AbortCause cause) {
-    Local().aborts[static_cast<int>(ClassifyAbort(kind, cause))]++;
-  }
+  void RecordAbort(TxKind kind, AbortCause cause) { Local().RecordAbort(kind, cause); }
 
   void RecordBravo(BravoCounter counter, std::uint64_t n = 1) {
-    Local().bravo[static_cast<int>(counter)] += n;
+    Local().RecordBravo(counter, n);
   }
 
   void RecordChop(ChopCounter counter, std::uint64_t n = 1) {
-    Local().chop[static_cast<int>(counter)] += n;
+    Local().RecordChop(counter, n);
   }
 
   ThreadStats Aggregate() const {
     ThreadStats total;
-    for (const auto& shard : shards_) {
-      total += shard.stats;
-    }
+    shards_.ForEachPublished(ThreadRegistry::Global().HighWatermark(),
+                             [&](std::uint32_t, const ThreadStats& shard) { total += shard; });
     return total;
   }
 
   void Reset() {
-    for (auto& shard : shards_) {
-      shard.stats = ThreadStats{};
-    }
+    shards_.ForEachPublished(ThreadRegistry::Global().HighWatermark(),
+                             [](std::uint32_t, ThreadStats& shard) { shard = ThreadStats{}; });
   }
 
  private:
@@ -546,7 +572,8 @@ class StatsRegistry {
     ThreadStats stats;
   };
 
-  Shard shards_[kMaxThreads];
+  std::unique_ptr<SlotTable<Shard>> own_;  // null when viewing another table
+  SlotColumn<ThreadStats> shards_;
 };
 
 }  // namespace rwle

@@ -1,17 +1,20 @@
 // Per-thread latency accounting for lock operations: one histogram per
-// (op kind, commit path) pair, sharded by thread slot exactly like
-// StatsRegistry so recording is an unsynchronized owner-thread write.
-// Shards are allocated lazily by the first Record of each slot (a shard is
-// ~64 KiB of histogram counters; most of the kMaxThreads slots never run).
-// Snapshot/Reset are harvest-time operations: the harness calls them when
-// no worker threads are live.
+// (op kind, commit path) pair and thread slot, so recording is an
+// unsynchronized owner-thread write. Per-slot records live in a SlotTable
+// (src/common/slot_table.h): a record is the slot's eight histogram
+// pointers, and each ~8 KiB histogram is allocated by the first Record of
+// its (op, path) pair -- a reader-only thread costs one histogram, not
+// eight, and slots that never record cost nothing past their segment.
+// Snapshot/Reset are harvest-time operations over the published records
+// below the registry high watermark: the harness calls them when no worker
+// thread is recording.
 #ifndef RWLE_SRC_TRACE_LATENCY_REGISTRY_H_
 #define RWLE_SRC_TRACE_LATENCY_REGISTRY_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
+#include "src/common/slot_table.h"
 #include "src/common/thread_registry.h"
 #include "src/stats/stats.h"
 #include "src/trace/latency_histogram.h"
@@ -45,43 +48,40 @@ class LatencyRegistry {
   LatencyRegistry() = default;
   LatencyRegistry(const LatencyRegistry&) = delete;
   LatencyRegistry& operator=(const LatencyRegistry&) = delete;
-  ~LatencyRegistry() {
-    for (auto& shard : shards_) {
-      // Acquire: pairs with the owner thread's release publication so the
-      // shard is seen fully constructed before deletion.
-      delete shard.load(std::memory_order_acquire);
-    }
-  }
 
-  // Owner-thread write; allocates this slot's shard on first use.
+  // Owner-thread write; allocates the (op, path) histogram on first use.
   void Record(std::uint32_t slot, OpKind op, CommitPath path, std::uint64_t cycles) {
-    // Relaxed: only the owner thread writes this slot, so it reads its own
+    std::atomic<LatencyHistogram*>& entry =
+        records_.Local(slot).hist[static_cast<int>(op)][static_cast<int>(path)];
+    // Relaxed: only the owner thread writes this entry, so it reads its own
     // prior store -- program order suffices.
-    Shard* shard = shards_[slot].load(std::memory_order_relaxed);
-    if (shard == nullptr) {
-      shard = new Shard();
-      // Release: publishes the shard's construction to the cross-thread
-      // acquire loads in Snapshot()/Reset()/the destructor.
-      shards_[slot].store(shard, std::memory_order_release);
+    LatencyHistogram* hist = entry.load(std::memory_order_relaxed);
+    if (hist == nullptr) {
+      hist = new LatencyHistogram();
+      // Release: publishes the histogram's construction to the cross-thread
+      // acquire loads in Snapshot()/Reset()/the record destructor.
+      entry.store(hist, std::memory_order_release);
     }
-    shard->hist[static_cast<int>(op)][static_cast<int>(path)].Record(cycles);
+    hist->Record(cycles);
   }
 
-  // Merges all shards and summarizes. Call only while no thread is
+  // Merges all records and summarizes. Call only while no thread is
   // recording (between runs).
   LatencySnapshot Snapshot() const {
     LatencySnapshot snapshot;
+    const std::uint32_t end = ThreadRegistry::Global().HighWatermark();
     for (int op = 0; op < kOpKindCount; ++op) {
       LatencyHistogram overall;
       for (int path = 0; path < kCommitPathCount; ++path) {
         LatencyHistogram merged;
-        for (const auto& entry : shards_) {
-          // Acquire: pairs with Record()'s release so the shard is seen
-          // fully constructed (histogram contents are quiesced by contract).
-          if (const Shard* shard = entry.load(std::memory_order_acquire)) {
-            merged.Merge(shard->hist[op][path]);
+        records_.ForEachPublished(end, [&](std::uint32_t, const SlotRecord& record) {
+          // Acquire: pairs with Record()'s release so the histogram is seen
+          // fully constructed (its contents are quiesced by contract).
+          if (const LatencyHistogram* hist =
+                  record.hist[op][path].load(std::memory_order_acquire)) {
+            merged.Merge(*hist);
           }
-        }
+        });
         snapshot.by_path[op][path] = Summarize(merged);
         overall.Merge(merged);
       }
@@ -90,18 +90,21 @@ class LatencyRegistry {
     return snapshot;
   }
 
-  // Clears all counters (shards stay allocated). Same caveat as Snapshot.
+  // Clears all counters (histograms stay allocated). Same caveat as
+  // Snapshot.
   void Reset() {
-    for (auto& entry : shards_) {
-      // Acquire: same pairing as Snapshot() -- see above.
-      if (Shard* shard = entry.load(std::memory_order_acquire)) {
-        for (auto& per_op : shard->hist) {
-          for (auto& hist : per_op) {
-            hist.Reset();
-          }
-        }
-      }
-    }
+    records_.ForEachPublished(ThreadRegistry::Global().HighWatermark(),
+                              [](std::uint32_t, SlotRecord& record) {
+                                for (auto& per_op : record.hist) {
+                                  for (auto& entry : per_op) {
+                                    // Acquire: same pairing as Snapshot().
+                                    if (LatencyHistogram* hist =
+                                            entry.load(std::memory_order_acquire)) {
+                                      hist->Reset();
+                                    }
+                                  }
+                                }
+                              });
   }
 
   static LatencyStats Summarize(const LatencyHistogram& hist) {
@@ -117,11 +120,24 @@ class LatencyRegistry {
   }
 
  private:
-  struct Shard {
-    LatencyHistogram hist[kOpKindCount][kCommitPathCount];
+  struct SlotRecord {
+    std::atomic<LatencyHistogram*> hist[kOpKindCount][kCommitPathCount] = {};
+
+    SlotRecord() = default;
+    SlotRecord(const SlotRecord&) = delete;
+    SlotRecord& operator=(const SlotRecord&) = delete;
+    ~SlotRecord() {
+      for (auto& per_op : hist) {
+        for (auto& entry : per_op) {
+          // Acquire: pairs with the owner's release publication so the
+          // histogram is seen fully constructed before deletion.
+          delete entry.load(std::memory_order_acquire);
+        }
+      }
+    }
   };
 
-  std::atomic<Shard*> shards_[kMaxThreads] = {};
+  SlotTable<SlotRecord> records_;
 };
 
 }  // namespace rwle

@@ -96,7 +96,8 @@ TEST(SchedExplore, DfsFindsLostUpdate) {
 }
 
 TEST(SchedExplore, CorrectWorkloadsStayClean) {
-  for (const char* workload : {"conflict", "inc-elided", "rot-conflict"}) {
+  for (const char* workload :
+       {"conflict", "inc-elided", "rot-conflict", "first-touch-reader"}) {
     ExploreOptions options;
     options.strategy = "random";
     options.schedules = 12;

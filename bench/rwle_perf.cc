@@ -16,9 +16,8 @@
 // gated) number, since the minimum is the least-disturbed measurement on a
 // shared host.
 //
-// Unlike micro_primitives (google-benchmark, human-oriented), this driver
-// has a stable machine-readable schema and no external dependency, so it
-// can seed baselines and gate CI.
+// This is the repo's one micro-benchmark driver: a stable machine-readable
+// schema and no external dependency, so it can seed baselines and gate CI.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -34,8 +33,12 @@
 #include "src/harness/result_serializer.h"
 #include "src/htm/htm_runtime.h"
 #include "src/htm/tx_write_set.h"
+#include "src/locks/br_lock.h"
 #include "src/locks/bravo_lock.h"
+#include "src/locks/hle_lock.h"
 #include "src/locks/lock_factory.h"
+#include "src/locks/rw_lock.h"
+#include "src/locks/sgl_lock.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/rwle_lock.h"
 #include "src/trace/trace_sink.h"
@@ -250,6 +253,43 @@ void TraceRingAppend(std::uint64_t ops) {
   }
 }
 
+// The HTM path's escape action around the quiescence scan: begin, one
+// buffered store, suspend + resume with nothing in between, commit. A/B
+// against htm_write_commit: the delta is the suspend/resume pair.
+void SuspendResume(std::uint64_t ops) {
+  static TxVar<std::uint64_t> cell(1);
+  HtmRuntime& runtime = HtmRuntime::Global();
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    runtime.TxBegin(TxKind::kHtm);
+    cell.Store(i);
+    runtime.TxSuspend();
+    runtime.TxResume();
+    runtime.TxCommit();
+  }
+}
+
+// The baselines' read sections, same shape as rwle_read_section: one load
+// inside the lock's read critical section.
+template <typename Lock>
+void ReadSection(std::uint64_t ops) {
+  static Lock lock;
+  static TxVar<std::uint64_t> cell(1);
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    std::uint64_t value = 0;
+    lock.Read([&] { value = cell.Load(); });
+    KeepAlive(value);
+  }
+}
+
+// The single-global-lock section: acquire, load + store, release.
+void SglSection(std::uint64_t ops) {
+  static SglLock lock;
+  static TxVar<std::uint64_t> cell(1);
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    lock.Write([&] { cell.Store(cell.Load() + 1); });
+  }
+}
+
 struct MicroBench {
   const char* name;
   const char* what;
@@ -285,6 +325,14 @@ constexpr MicroBench kBenchmarks[] = {
     {"trace_ring_append", "EmitTraceEvent into a MemoryTraceSink lane", TraceRingAppend},
     {"rwle_lock_construct", "MakeLock(\"rwle-opt\") + first Read + destroy",
      RwLeLockConstruct},
+    {"suspend_resume", "HTM tx: begin + store + suspend/resume + commit",
+     SuspendResume},
+    {"hle_read_section", "HleLock.Read: elided read section (HTM path)",
+     ReadSection<HleLock>},
+    {"rwl_read_section", "RwLock.Read: centralized reader count", ReadSection<RwLock>},
+    {"brlock_read_section", "BrLock.Read: per-thread reader mutex",
+     ReadSection<BrLock>},
+    {"sgl_section", "SglLock.Write: single global lock, load + store", SglSection},
 };
 
 PerfBenchmarkResult RunBench(const MicroBench& bench, std::uint64_t ops,

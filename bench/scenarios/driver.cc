@@ -9,7 +9,6 @@
 #include "bench/bench_common.h"
 #include "bench/scenarios/all_scenarios.h"
 #include "bench/scenarios/scenario.h"
-#include "src/common/check.h"
 #include "src/common/flags.h"
 #include "src/common/strings.h"
 #include "src/harness/figure_report.h"
@@ -93,7 +92,7 @@ RunManifest BuildManifest(const ScenarioSpec& spec, const BenchOptions& options,
 
 }  // namespace
 
-int BenchMain(int argc, char** argv, const char* forced_scenario) {
+int BenchMain(int argc, char** argv) {
   RegisterAllScenarios();
   const ScenarioRegistry& registry = ScenarioRegistry::Global();
 
@@ -121,21 +120,10 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
   bool list_schemes = false;
   std::vector<std::string> positional;
 
-  std::string description;
-  const ScenarioSpec* forced = nullptr;
-  if (forced_scenario != nullptr) {
-    forced = registry.Find(forced_scenario);
-    RWLE_CHECK(forced != nullptr);
-    description = forced->title + "\n(compatibility shim for `rwle_bench --scenario=" +
-                  forced->name + "`)";
-  } else {
-    description =
-        "rwle_bench: unified driver for every evaluation scenario.\n"
-        "Pick work with --scenario=fig3[,fig5,...], positional names, or --all;\n"
-        "discover it with --list-scenarios / --list-schemes.";
-  }
-
-  FlagSet flags(description);
+  FlagSet flags(
+      "rwle_bench: unified driver for every evaluation scenario.\n"
+      "Pick work with --scenario=fig3[,fig5,...], positional names, or --all;\n"
+      "discover it with --list-scenarios / --list-schemes.");
   flags.AddString("threads", &threads, "comma-separated thread counts");
   flags.AddUint("ops", &ops, "total operations per run (0 = scenario default)");
   flags.AddString("schemes", &schemes_flag,
@@ -173,12 +161,10 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
                 "print the scenario registry and exit");
   flags.AddBool("list-schemes", &list_schemes,
                 "print every scheme the lock factory can build and exit");
-  if (forced == nullptr) {
-    flags.AddString("scenario", &scenario_flag,
-                    "comma-separated scenario names to run (see --list-scenarios)");
-    flags.AddBool("all", &run_all, "run every registered scenario");
-    flags.AllowPositional(&positional, "scenario names (same as --scenario)");
-  }
+  flags.AddString("scenario", &scenario_flag,
+                  "comma-separated scenario names to run (see --list-scenarios)");
+  flags.AddBool("all", &run_all, "run every registered scenario");
+  flags.AllowPositional(&positional, "scenario names (same as --scenario)");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -251,9 +237,7 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
   }
 
   std::vector<std::string> selected;
-  if (forced != nullptr) {
-    selected.push_back(forced->name);
-  } else if (run_all) {
+  if (run_all) {
     selected = registry.Names();
   } else {
     for (const auto& name : SplitCommaList(scenario_flag)) {

@@ -79,68 +79,52 @@ void ChoppedSection::RunPiece(std::size_t index, PieceRef piece) {
   runtime.TxCommitChained(carryover_[CurrentThreadSlot()].set);  // throws if doomed
 }
 
+std::uint64_t ChoppedSection::HoldNs(std::uint64_t token) {
+  return policy_.serialize_chains ? lock_.wlock_.Upgrade(token, LockState::kNsLocked)
+                                  : lock_.AcquireNsPath();
+}
+
 void ChoppedSection::PublishChain(std::uint32_t slot, std::uint64_t token,
                                   std::size_t pieces) {
   HtmRuntime& runtime = HtmRuntime::Global();
   TxWriteSet& carryover = carryover_[slot].set;
-  const std::uint64_t held =
-      policy_.serialize_chains
-          ? lock_.wlock_.Upgrade(token, LockState::kNsLocked)
-          : lock_.AcquireNsPath();
-  SerialSectionScope publish_scope(SerialScope::kGlobal);
-  if (lock_.policy().fallback == FallbackScheme::kBravo) {
-    lock_.BravoDrainAdmitted(slot);
-  }
-  // The chain's single quiescence barrier (§3.3 amortization): readers are
-  // blocked by the NS word, so the blocked-reader scan drains everyone who
-  // entered before the window opened. Pieces ran no barrier at all.
-#ifdef RWLE_ANALYSIS
-  if (!runtime.fault_injection().skip_quiescence)
-#endif
   {
-    lock_.SynchronizeNs(held);
-  }
+    // The window's quiescence is the chain's single barrier (§3.3
+    // amortization): readers are blocked by the NS word, so the
+    // blocked-reader scan drains everyone who entered before the window
+    // opened. Pieces ran no barrier at all.
+    const RwLeLock::NsWindow window(lock_, slot, HoldNs(token));
 #ifdef RWLE_ANALYSIS
-  bool dropped_one = false;
+    bool dropped_one = false;
 #endif
-  for (const TxWriteSet::Entry& entry : carryover) {
+    for (const TxWriteSet::Entry& entry : carryover) {
 #ifdef RWLE_ANALYSIS
-    if (runtime.fault_injection().chop_drop_publish_entry && !dropped_one) {
-      dropped_one = true;  // injected torn publish: skip the first entry
-      continue;
+      if (runtime.fault_injection().chop_drop_publish_entry && !dropped_one) {
+        dropped_one = true;  // injected torn publish: skip the first entry
+        continue;
+      }
+#endif
+      runtime.CellStore(entry.cell, entry.value);
     }
-#endif
-    runtime.CellStore(entry.cell, entry.value);
+    runtime.EndChain(/*committed=*/true);
+    EmitTraceEvent(runtime.trace_sink(), slot, TraceEventType::kChopChainCommit,
+                   static_cast<std::uint8_t>(pieces), 0, carryover.size());
+    carryover.Clear();
   }
-  runtime.EndChain(/*committed=*/true);
-  EmitTraceEvent(runtime.trace_sink(), slot, TraceEventType::kChopChainCommit,
-                 static_cast<std::uint8_t>(pieces), 0, carryover.size());
-  carryover.Clear();
-  lock_.ReleaseNsPath(held);
   lock_.stats().RecordChop(ChopCounter::kChain);
   lock_.stats().RecordCommit(CommitPath::kHtm);
 }
 
 void ChoppedSection::RunNsFallback(std::uint32_t slot, std::uint64_t token,
                                    std::size_t piece_count, PieceRef piece) {
-  const std::uint64_t held =
-      policy_.serialize_chains
-          ? lock_.wlock_.Upgrade(token, LockState::kNsLocked)
-          : lock_.AcquireNsPath();
-  SerialSectionScope ns_scope(SerialScope::kGlobal);
-  if (lock_.policy().fallback == FallbackScheme::kBravo) {
-    lock_.BravoDrainAdmitted(slot);
-  }
-  lock_.SynchronizeNs(held);
-  try {
+  {
+    // NS sections cannot abort; an exception here is the user's, and the
+    // window releases the lock on the way out.
+    const RwLeLock::NsWindow window(lock_, slot, HoldNs(token));
     for (std::size_t i = 0; i < piece_count; ++i) {
       piece(i);
     }
-  } catch (...) {
-    lock_.ReleaseNsPath(held);
-    throw;  // NS sections cannot abort; this is a user exception
   }
-  lock_.ReleaseNsPath(held);
   lock_.stats().RecordChop(ChopCounter::kNsFallback);
   lock_.stats().RecordCommit(CommitPath::kSerial);
 }

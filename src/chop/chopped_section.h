@@ -117,13 +117,18 @@ class ChoppedSection {
   // after cancelling the transaction.
   void RunPiece(std::size_t index, PieceRef piece);
 
-  // Opens the NS publication window (upgrade the chain token, or acquire
-  // the NS lock in concurrent mode), drains readers with the chain's single
-  // quiescence barrier, publishes the carryover, ends the chain, releases.
+  // Takes the NS word for a window: upgrades the chain token in place
+  // (serialized chains), or acquires the NS lock (concurrent chains, which
+  // hold no token). Which one depends on serialize_chains, so it stays here.
+  std::uint64_t HoldNs(std::uint64_t token);
+
+  // Opens the NS publication window on the held word (whose quiescence is
+  // the chain's single barrier), publishes the carryover, ends the chain,
+  // and closes the window.
   void PublishChain(std::uint32_t slot, std::uint64_t token, std::size_t pieces);
 
-  // Serial-path escape hatch: runs all pieces pessimistically under the NS
-  // lock, exactly like RwLeLock::Write's kNs arm.
+  // Serial-path escape hatch: runs all pieces pessimistically in an NS
+  // window, exactly like RwLeLock::Write's kNs arm.
   void RunNsFallback(std::uint32_t slot, std::uint64_t token, std::size_t piece_count,
                      PieceRef piece);
 

@@ -202,7 +202,7 @@ class HtmRuntime {
     bool leak_speculative_store = false;    // TxStore writes through to memory
     bool rot_tracks_reads = false;          // ROT loads take read-set entries
     bool unmonitor_on_suspend = false;      // suspend releases write ownership
-    bool skip_quiescence = false;           // RW-LE commit skips Synchronize()
+    bool skip_quiescence = false;           // RW-LE writers skip quiescence
     // Chopping-layer bugs (src/chop/):
     bool chop_eager_piece_publish = false;   // piece capture also hits memory
     bool chop_drop_publish_entry = false;    // chain publish skips one entry

@@ -60,14 +60,10 @@ class BravoLock {
     // readers may not re-arm the bias for inhibit_multiplier * C cycles.
     // 0 = re-arm immediately (the bravo_revoke micro-benchmark's setting).
     std::uint64_t inhibit_multiplier = 9;
-    // Start with the bias armed? Read-mostly deployments (and the litmus
-    // workloads, which need the revocation path on the first write) say yes.
-    bool bias_initially = true;
   };
 
   BravoLock() : BravoLock(Options()) {}
-  explicit BravoLock(const Options& options)
-      : options_(options), bias_(options.bias_initially) {}
+  explicit BravoLock(const Options& options) : options_(options) {}
   BravoLock(const BravoLock&) = delete;
   BravoLock& operator=(const BravoLock&) = delete;
 
@@ -275,7 +271,9 @@ class BravoLock {
   }
 
   const Options options_;
-  std::atomic<bool> bias_;
+  // Armed at construction: the first reads take the fast path, and the
+  // first write revokes.
+  std::atomic<bool> bias_{true};
   // Modeled-cycle timestamp before which SlowReadEnter must not re-arm.
   std::atomic<std::uint64_t> inhibit_until_{0};
   std::atomic<std::uint64_t> state_{0};

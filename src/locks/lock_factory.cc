@@ -20,7 +20,7 @@ using MakeFn = std::unique_ptr<ElidableLock> (*)(const std::string& name,
                                                  const LockOptions& options,
                                                  FallbackScheme fallback);
 
-template <RwLeVariant V, bool UseRot = true, bool Split = false, bool Adaptive = false>
+template <RwLeVariant V, bool UseRot = true, bool Split = false>
 std::unique_ptr<ElidableLock> MakeRwLe(const std::string& name, const LockOptions& options,
                                        FallbackScheme fallback) {
   RwLePolicy policy;
@@ -28,7 +28,6 @@ std::unique_ptr<ElidableLock> MakeRwLe(const std::string& name, const LockOption
   policy.max_htm_retries = options.max_htm_retries;
   policy.max_rot_retries = UseRot ? options.max_rot_retries : 0;
   policy.split_rot_ns_locks = Split;
-  policy.adaptive = Adaptive;
   policy.fallback = fallback;
   return std::make_unique<LockAdapter<RwLeLock>>(name, policy);
 }
@@ -68,8 +67,6 @@ constexpr SchemeDef kSchemes[] = {
      false, MakeRwLe<RwLeVariant::kOpt, false>},
     {"rwle-split", "RW-LE with split ROT/NS locks (§3.3 optimization)", true, false,
      MakeRwLe<RwLeVariant::kOpt, true, true>},
-    {"rwle-adaptive", "RW-LE with the adaptive retry-budget tuner", true, false,
-     MakeRwLe<RwLeVariant::kOpt, true, false, true>},
     {"hle", "classic HTM lock elision (every section speculates)", false, true,
      MakeHle},
     {"brlock", "big-reader lock (per-thread reader mutexes)", false, true,

@@ -1,5 +1,5 @@
 // Creates any of the evaluation's synchronization schemes by name; the
-// figure binaries use this to sweep over schemes uniformly.
+// benchmark scenarios use this to sweep over schemes uniformly.
 #ifndef RWLE_SRC_LOCKS_LOCK_FACTORY_H_
 #define RWLE_SRC_LOCKS_LOCK_FACTORY_H_
 
@@ -26,8 +26,8 @@ struct LockOptions {
 // Scheme-name grammar: "<base>[+<fallback>]".
 //   - Bases: "rwle" (alias for "rwle-opt"), "rwle-opt", "rwle-pes",
 //     "rwle-fair", "rwle-norot" (ROT fallback disabled, Figure 7),
-//     "rwle-split" (split ROT/NS locks, §3.3), "rwle-adaptive", "hle",
-//     "brlock", "rwl", "sgl", "bravo" (standalone BRAVO-biased rw-lock).
+//     "rwle-split" (split ROT/NS locks, §3.3), "hle", "brlock", "rwl",
+//     "sgl", "bravo" (standalone BRAVO-biased rw-lock).
 //   - Fallback suffix, valid on RW-LE bases only: "+bravo" parks blocked
 //     readers in a distributed visible-reader table, "+centralized" (the
 //     default, same as no suffix) spins them on the lock word. "rwle+bravo"

@@ -63,10 +63,6 @@ struct RwLePolicy {
   // unoptimized Algorithm 1 barrier; kept as a switch for the ablation
   // bench.
   bool single_scan_ns_sync = true;
-  // Extension (beyond the paper, in the spirit of its citation [9]):
-  // adapt max_htm_retries / max_rot_retries at runtime from observed
-  // success rates instead of using fixed budgets.
-  bool adaptive = false;
   // §3.3 optimization: split the global lock into a ROT lock and an NS
   // lock. The HTM path then subscribes the NS lock eagerly but the ROT lock
   // only lazily in its commit phase, which lets hardware transactions run
@@ -78,7 +74,8 @@ struct RwLePolicy {
   FallbackScheme fallback = FallbackScheme::kCentralized;
 };
 
-// Per-acquisition path state machine.
+// Per-acquisition path state machine. Reads the lock's policy in place, so
+// the policy must outlive it.
 class PathPolicy {
  public:
   explicit PathPolicy(const RwLePolicy& policy) : policy_(policy) {
@@ -127,7 +124,7 @@ class PathPolicy {
     }
   }
 
-  RwLePolicy policy_;
+  const RwLePolicy& policy_;
   WritePath path_;
   std::uint32_t trials_left_;
 };

@@ -40,7 +40,6 @@
 #include "src/common/thread_registry.h"
 #include "src/htm/htm_runtime.h"
 #include "src/htm/preemption.h"
-#include "src/rwle/adaptive_tuner.h"
 #include "src/rwle/bravo_reader_table.h"
 #include "src/rwle/epoch_clocks.h"
 #include "src/rwle/lock_word.h"
@@ -136,15 +135,7 @@ class RwLeLock {
     // Analysis builds: bracket the (outermost) elided write section so txsan
     // can require a quiescence scan before any commit inside it.
     const AnalysisElidedWriteScope txsan_scope(runtime, slot);
-    RwLePolicy effective = policy_;
-    if (policy_.adaptive) {
-      const AdaptiveTuner::Budgets budgets = tuner_.Current();
-      effective.max_htm_retries = budgets.htm;
-      effective.max_rot_retries = budgets.rot;
-    }
-    PathPolicy path(effective);
-    std::uint32_t htm_aborts = 0;
-    std::uint32_t rot_aborts = 0;
+    PathPolicy path(policy_);
     for (;;) {
       switch (path.current()) {
         case WritePath::kHtm: {
@@ -153,10 +144,8 @@ class RwLeLock {
             RunSpeculative(fn);
             HtmEpilogue();
             self.stats.RecordCommit(CommitPath::kHtm);
-            ReportAdaptive(CommitPath::kHtm, htm_aborts, rot_aborts);
             return;
           } catch (const TxAbortException& abort) {
-            ++htm_aborts;
             self.stats.RecordAbort(abort.kind(), abort.cause());
             const WritePath before = path.current();
             path.OnAbort(abort.persistent());
@@ -175,10 +164,8 @@ class RwLeLock {
             RotEpilogue();
             ReleaseRotPath(held);
             self.stats.RecordCommit(CommitPath::kRot);
-            ReportAdaptive(CommitPath::kRot, htm_aborts, rot_aborts);
             return;
           } catch (const TxAbortException& abort) {
-            ++rot_aborts;
             ReleaseRotPath(held);
             self.stats.RecordAbort(abort.kind(), abort.cause());
             const WritePath before = path.current();
@@ -188,25 +175,13 @@ class RwLeLock {
           break;
         }
         case WritePath::kNs: {
-          const std::uint64_t held = AcquireNsPath();
-          SerialSectionScope ns_scope(SerialScope::kGlobal);
-          // Reader visibility is queried through the fallback abstraction:
-          // a BRAVO fallback first drains the distributed table (readers it
-          // admitted through private entries), then the epoch scan below
-          // dooms/waits out the uninstrumented readers as always.
-          if (policy_.fallback == FallbackScheme::kBravo) {
-            BravoDrainAdmitted(slot);
-          }
-          SynchronizeNs(held);
-          try {
+          {
+            // NS sections cannot abort; an exception here is the user's,
+            // and the window releases the lock on the way out.
+            const NsWindow window(*this, slot, AcquireNsPath());
             fn();
-          } catch (...) {
-            ReleaseNsPath(held);
-            throw;  // NS sections cannot abort; this is a user exception
           }
-          ReleaseNsPath(held);
           self.stats.RecordCommit(CommitPath::kSerial);
-          ReportAdaptive(CommitPath::kSerial, htm_aborts, rot_aborts);
           return;
         }
       }
@@ -216,16 +191,47 @@ class RwLeLock {
   const RwLePolicy& policy() const { return policy_; }
   StatsRegistry& stats() { return stats_; }
   EpochClocks& clocks() { return clocks_; }
-  const AdaptiveTuner& tuner() const { return tuner_; }
 
   // Exposed for tests: the RCU-like quiescence barrier.
   void Synchronize() const { clocks_.Synchronize(); }
 
  private:
-  // The chopping layer (src/chop/) drives the write word and the NS-path
-  // machinery directly: a chain holds wlock_ as its chain token and reuses
-  // the quiescence / fallback plumbing for its publication window.
+  // The chopping layer (src/chop/) drives the write word directly: a chain
+  // holds wlock_ as its chain token and opens an NsWindow to publish.
   friend class ChoppedSection;
+
+  // The non-speculative window, the one owner of the NS path's protocol.
+  // Built from the held NS word (acquired by the caller, or upgraded from
+  // a chain token), it runs the section in the global-serial cost bucket,
+  // drains the readers a BRAVO fallback admitted through private entries,
+  // then waits out the uninstrumented readers with the NS quiescence; its
+  // destructor releases the word (and grants parked BRAVO readers) on
+  // every exit, user exceptions included.
+  class NsWindow {
+   public:
+    NsWindow(RwLeLock& lock, std::uint32_t slot, std::uint64_t held)
+        : lock_(lock), held_(held) {
+      if (lock_.policy_.fallback == FallbackScheme::kBravo) {
+        lock_.BravoDrainAdmitted(slot);
+      }
+#ifdef RWLE_ANALYSIS
+      if (!HtmRuntime::Global().fault_injection().skip_quiescence)
+#endif
+      {
+        lock_.SynchronizeNs(held_);
+      }
+    }
+    ~NsWindow() { lock_.ReleaseNsPath(held_); }
+
+    NsWindow(const NsWindow&) = delete;
+    NsWindow& operator=(const NsWindow&) = delete;
+
+   private:
+    RwLeLock& lock_;
+    const std::uint64_t held_;
+    // Engaged before the drain and left after the release.
+    const SerialSectionScope serial_{SerialScope::kGlobal};
+  };
 
   // Runs the user body inside the current transaction, converting foreign
   // exceptions into a clean transaction cancellation.
@@ -238,13 +244,6 @@ class RwLeLock {
     } catch (...) {
       HtmRuntime::Global().TxCancel();
       throw;
-    }
-  }
-
-  void ReportAdaptive(CommitPath path, std::uint32_t htm_aborts,
-                      std::uint32_t rot_aborts) {
-    if (policy_.adaptive) {
-      tuner_.ReportWrite(path, htm_aborts, rot_aborts);
     }
   }
 
@@ -360,7 +359,6 @@ class RwLeLock {
   // Views of slots_: the clock and stats members of every record.
   EpochClocks clocks_{slots_.Column<EpochClocks::Clock>(offsetof(Slot, clock))};
   StatsRegistry stats_{slots_.Column<ThreadStats>(offsetof(Slot, stats))};
-  AdaptiveTuner tuner_;
 };
 
 }  // namespace rwle

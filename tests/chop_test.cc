@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
@@ -241,6 +242,80 @@ TEST_F(ChopTest, ReadersNeverObserveTornChain) {
   EXPECT_FALSE(torn.load());
   EXPECT_EQ(x.LoadDirect(), kChains);
   EXPECT_EQ(y.LoadDirect(), kChains);
+}
+
+// Chopping on an rwle+bravo lock: readers that collide with a chain's
+// publication window, or with the NS fallback a chain takes after
+// max_chain_unwinds, park in the BRAVO table, are granted on release, and
+// still see every chain all-or-nothing. Every NS window drains the table
+// once, so revocations count the windows exactly.
+TEST_F(ChopTest, BravoFallbackReadersParkAndSeeChainsWhole) {
+  constexpr std::uint64_t kChains = 100;
+  RwLePolicy lock_policy;
+  lock_policy.fallback = FallbackScheme::kBravo;
+  RwLeLock lock(lock_policy);
+  ChopPolicy policy;
+  policy.max_chain_unwinds = 1;
+  ChoppedSection chopped(lock, policy);
+  TxVar<std::uint64_t> x(0);
+  TxVar<std::uint64_t> y(0);
+  std::atomic<bool> done{false};
+  std::atomic<bool> torn{false};
+
+  std::thread writer([&] {
+    ScopedThreadSlot slot;
+    for (std::uint64_t i = 0; i < kChains; ++i) {
+      // Odd chains exhaust their unwinds and run in the NS fallback.
+      const bool force_fallback = i % 2 == 1;
+      chopped.Write(2, [&](std::size_t piece) {
+        if (piece == 0) {
+          if (force_fallback && Rt().InTx()) {
+            Rt().TxAbort(AbortCause::kCapacityWrite);  // throws
+          }
+          x.Store(x.Load() + 1);
+          if (!Rt().InTx()) {
+            // Hold the NS window open between the two stores so readers
+            // collide with it and park.
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        } else {
+          y.Store(y.Load() + 1);
+        }
+      });
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      ScopedThreadSlot slot;
+      while (!done.load()) {
+        std::uint64_t seen_x = 0;
+        std::uint64_t seen_y = 0;
+        lock.Read([&] {
+          seen_x = x.Load();
+          seen_y = y.Load();
+        });
+        if (seen_x != seen_y) {
+          torn.store(true);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) {
+    t.join();
+  }
+
+  EXPECT_FALSE(torn.load());
+  EXPECT_EQ(x.LoadDirect(), kChains);
+  EXPECT_EQ(y.LoadDirect(), kChains);
+  const StatsSnapshot stats = lock.stats().Aggregate().Snapshot();
+  EXPECT_GT(stats.chop.chains, 0u);
+  EXPECT_GE(stats.chop.ns_fallbacks, kChains / 2);
+  EXPECT_EQ(stats.chop.chains + stats.chop.ns_fallbacks, kChains);
+  EXPECT_GT(stats.bravo.parked_reads, 0u);
+  EXPECT_EQ(stats.bravo.revocations, kChains);
 }
 
 // Concurrent-chain mode with disjoint per-writer stripes (the chopping

@@ -121,14 +121,12 @@ TEST(LockFactoryTest, VariantSchemesConfigureTheirPolicies) {
     RwLeVariant variant;
     std::uint32_t max_rot_retries;
     bool split;
-    bool adaptive;
   } cases[] = {
-      {"rwle-opt", RwLeVariant::kOpt, 3, false, false},
-      {"rwle-pes", RwLeVariant::kPes, 3, false, false},
-      {"rwle-fair", RwLeVariant::kFair, 0, false, false},
-      {"rwle-norot", RwLeVariant::kOpt, 0, false, false},
-      {"rwle-split", RwLeVariant::kOpt, 3, true, false},
-      {"rwle-adaptive", RwLeVariant::kOpt, 3, false, true},
+      {"rwle-opt", RwLeVariant::kOpt, 3, false},
+      {"rwle-pes", RwLeVariant::kPes, 3, false},
+      {"rwle-fair", RwLeVariant::kFair, 0, false},
+      {"rwle-norot", RwLeVariant::kOpt, 0, false},
+      {"rwle-split", RwLeVariant::kOpt, 3, true},
   };
   LockOptions options;
   options.max_rot_retries = 3;
@@ -141,7 +139,6 @@ TEST(LockFactoryTest, VariantSchemesConfigureTheirPolicies) {
     EXPECT_EQ(policy.variant, expected.variant) << expected.name;
     EXPECT_EQ(policy.max_rot_retries, expected.max_rot_retries) << expected.name;
     EXPECT_EQ(policy.split_rot_ns_locks, expected.split) << expected.name;
-    EXPECT_EQ(policy.adaptive, expected.adaptive) << expected.name;
   }
 }
 

@@ -445,7 +445,7 @@ void TxSan::CheckWriteSetMonitoredLocked(int tid, const char* where) {
       continue;  // limited tracking: the line was never claimed (modeled)
     }
     ConflictTable::LineSlot& line = runtime_->conflict_table().SlotFor(cell);
-    if (line.writer.load() != token) {
+    if (line.writer().load() != token) {
       ViolationLocked(Invariant::kSuspendedUnmonitored, tid,
                       "at " + std::string(where) + ": write-set cell " + CellName(cell) +
                           " is no longer owned by this live transaction "

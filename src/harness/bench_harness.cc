@@ -1,5 +1,6 @@
 #include "src/harness/bench_harness.h"
 
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <thread>
@@ -7,6 +8,7 @@
 
 #include "src/common/barrier.h"
 #include "src/common/check.h"
+#include "src/common/cpu.h"
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
 #include "src/common/thread_registry.h"
@@ -20,6 +22,24 @@
 #endif
 
 namespace rwle {
+namespace {
+
+// Worker slots are registered before the start line and held until after
+// the finish line, so no worker can inherit a slot -- and with it the
+// CostMeter shard and modeled clock -- of a worker that already finished.
+// Worker t registers only after worker t - 1 did, so slots follow worker
+// index whatever order the OS starts the threads in, and --sched runs
+// assign them deterministically.
+void WaitForRegistrationTurn(const std::atomic<std::uint32_t>& registered, std::uint32_t t) {
+  std::uint32_t spins = 0;
+  // Acquire: pairs with the previous worker's release store after its
+  // registration, so registrations happen in worker-index order.
+  while (registered.load(std::memory_order_acquire) != t) {
+    SpinBackoff(spins++);
+  }
+}
+
+}  // namespace
 
 RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const OpFn& op) {
   RWLE_CHECK(options.threads > 0);
@@ -49,6 +69,7 @@ RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const Op
 #endif
 
   SpinBarrier barrier(options.threads + 1);  // workers + timekeeper
+  std::atomic<std::uint32_t> registered{0};
   std::vector<std::thread> workers;
   workers.reserve(options.threads);
 
@@ -59,15 +80,15 @@ RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const Op
       if (t < options.total_ops % options.threads) {
         ++my_ops;
       }
+      WaitForRegistrationTurn(registered, t);
+      const ScopedThreadSlot slot;
+      // Release: see WaitForRegistrationTurn.
+      registered.store(t + 1, std::memory_order_release);
       barrier.Wait();  // start line
       {
 #ifdef RWLE_SCHED
         const sched::RoundParticipant participant(t);  // no-op without a round
 #endif
-        // Registered after joining the round so that under --sched slots
-        // assign in schedule order, not OS arrival order (slot index feeds
-        // epoch-clock lanes and conflict-table identity).
-        const ScopedThreadSlot slot;
         for (std::uint64_t i = 0; i < my_ops; ++i) {
           const bool is_write = rng.NextBool(options.write_ratio);
           op(t, rng, is_write);
@@ -155,6 +176,7 @@ RunResult RunServiceBenchmark(const ServiceRunOptions& options, ElidableLock& lo
   std::vector<WorkerResult> per_worker(options.threads);
 
   SpinBarrier barrier(options.threads + 1);  // workers + timekeeper
+  std::atomic<std::uint32_t> registered{0};
   std::vector<std::thread> workers;
   workers.reserve(options.threads);
 
@@ -166,12 +188,15 @@ RunResult RunServiceBenchmark(const ServiceRunOptions& options, ElidableLock& lo
         ++my_ops;
       }
       WorkerResult& mine = per_worker[t];
+      WaitForRegistrationTurn(registered, t);
+      const ScopedThreadSlot slot;
+      // Release: see WaitForRegistrationTurn.
+      registered.store(t + 1, std::memory_order_release);
       barrier.Wait();  // start line
       {
 #ifdef RWLE_SCHED
         const sched::RoundParticipant participant(t);  // no-op without a round
 #endif
-        const ScopedThreadSlot slot;
         // Virtual arrival clock, in modeled cycles since the run start.
         // CostMeter::Reset zeroed this slot's shard, so SlotCycles and the
         // arrival clock share an origin.

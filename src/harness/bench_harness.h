@@ -54,9 +54,12 @@ struct RunResult {
 using OpFn = std::function<void(std::uint32_t thread_index, Rng& rng, bool is_write)>;
 
 // Runs the benchmark. Resets and then harvests `stats` (the lock's registry)
-// and the global CostMeter. Worker threads register ScopedThreadSlots; the
-// caller must NOT hold one on the calling thread while the run executes
-// workers (the harness runs ops only on the spawned workers).
+// and the global CostMeter. Worker threads register ScopedThreadSlots in
+// worker-index order before the start line and hold them until after the
+// finish line, so every worker owns a distinct slot (and CostMeter shard)
+// for the whole run. The caller must NOT hold one on the calling thread
+// while the run executes workers (the harness runs ops only on the spawned
+// workers).
 RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const OpFn& op);
 
 // Same, driving an ElidableLock: additionally resets the lock's latency

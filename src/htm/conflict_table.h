@@ -1,6 +1,9 @@
 // The simulated coherence directory: a fixed-size, hash-indexed table of
 // cache-line slots recording which transaction owns a line for writing and
-// which transactions have it in their read set.
+// which transactions have it in their read set. Memory is word-major: a hot
+// plane of {writer, reader word 0} records plus one plane per further reader
+// word, all lazily backed, so the resident table follows the lines and the
+// threads a run actually uses (DESIGN.md §12).
 //
 // Distinct lines may alias to the same slot; that manifests as a false
 // conflict, exactly like way-aliasing in a real L2 TM directory.
@@ -62,10 +65,29 @@ class ConflictTable {
                 "kReaderWords packs 64 reader bits per word; a non-multiple "
                 "kMaxThreads would silently round reader capacity down");
 
-  struct LineSlot {
-    std::atomic<OwnerToken> writer{0};
-    std::atomic<std::uint64_t> readers[kReaderWords] = {};
+  // The hot record of a line slot: the writer field and reader word 0
+  // (thread slots 0..63). Sixteen bytes, aligned so a record never straddles
+  // a host cache line: while at most 64 threads run, every access touches
+  // one host line. Reader words 1..kReaderWords-1 live in the word-major
+  // overflow planes (see ReaderWord).
+  class alignas(16) LineSlot {
+   public:
+    std::atomic_ref<OwnerToken> writer() { return std::atomic_ref<OwnerToken>(writer_); }
+
+   private:
+    friend class ConflictTable;
+    OwnerToken writer_;
+    std::uint64_t reader_word0_;
   };
+  static_assert(sizeof(LineSlot) == 16, "a hot record must fit one host line");
+
+  // Maps zero-filled storage whose pages stay unbacked until written: a run
+  // pays for the hot records of the lines it touches and for an overflow
+  // plane only once a thread slot >= 64 sets a reader bit.
+  ConflictTable();
+  ~ConflictTable();
+  ConflictTable(const ConflictTable&) = delete;
+  ConflictTable& operator=(const ConflictTable&) = delete;
 
   // Maps a shared cell's address to its line slot. Cells within one
   // 128-byte line share a slot (false sharing is modeled, not hidden).
@@ -74,11 +96,8 @@ class ConflictTable {
   // keep the index (SlotAt is a plain array load), and log it in the
   // transaction's set logs, so commit/abort release the footprint without
   // ever re-hashing. SlotFor is the one-shot form for paths that never need
-  // the index again (non-transactional accesses).
-  LineSlot& SlotFor(const void* address) {
-    const auto line = reinterpret_cast<std::uintptr_t>(address) >> kCacheLineShift;
-    return slots_[Mix(line) & (kSlotCount - 1)];
-  }
+  // the index again.
+  LineSlot& SlotFor(const void* address) { return slots_[IndexFor(address)]; }
 
   std::uint32_t IndexFor(const void* address) const {
     const auto line = reinterpret_cast<std::uintptr_t>(address) >> kCacheLineShift;
@@ -87,16 +106,25 @@ class ConflictTable {
 
   LineSlot& SlotAt(std::uint32_t index) { return slots_[index]; }
 
-  static void SetReaderBit(LineSlot& slot, std::uint32_t thread_slot) {
-    slot.readers[thread_slot / 64].fetch_or(std::uint64_t{1} << (thread_slot % 64));
+  // Reader word `word` of slot `index`: the bits of thread slots
+  // word * 64 .. word * 64 + 63. Word 0 sits in the hot record; plane w
+  // holds word w of every slot, so the planes a run's threads never reach
+  // are never resident.
+  std::atomic_ref<std::uint64_t> ReaderWord(std::uint32_t index, std::uint32_t word) {
+    return std::atomic_ref<std::uint64_t>(
+        word == 0 ? slots_[index].reader_word0_ : overflow_[(word - 1) * kSlotCount + index]);
   }
 
-  static void ClearReaderBit(LineSlot& slot, std::uint32_t thread_slot) {
-    slot.readers[thread_slot / 64].fetch_and(~(std::uint64_t{1} << (thread_slot % 64)));
+  void SetReaderBit(std::uint32_t index, std::uint32_t thread_slot) {
+    ReaderWord(index, thread_slot / 64).fetch_or(std::uint64_t{1} << (thread_slot % 64));
   }
 
-  static bool TestReaderBit(const LineSlot& slot, std::uint32_t thread_slot) {
-    return (slot.readers[thread_slot / 64].load() >> (thread_slot % 64)) & 1;
+  void ClearReaderBit(std::uint32_t index, std::uint32_t thread_slot) {
+    ReaderWord(index, thread_slot / 64).fetch_and(~(std::uint64_t{1} << (thread_slot % 64)));
+  }
+
+  bool TestReaderBit(std::uint32_t index, std::uint32_t thread_slot) {
+    return (ReaderWord(index, thread_slot / 64).load() >> (thread_slot % 64)) & 1;
   }
 
  private:
@@ -108,7 +136,10 @@ class ConflictTable {
     return x;
   }
 
-  LineSlot slots_[kSlotCount];
+  // One mapping: kSlotCount hot records, then kReaderWords - 1 planes of
+  // kSlotCount words each.
+  LineSlot* slots_;
+  std::uint64_t* overflow_;
 };
 
 }  // namespace rwle

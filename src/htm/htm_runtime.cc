@@ -106,7 +106,7 @@ void HtmRuntime::TxCommit() {
     // and survive to commit; a reader that publishes its bit after this
     // scan self-aborts in TxLoad's post-bit owner re-check.
     for (const std::uint32_t index : ctx->owned_line_indices_) {
-      DoomReaders(table_.SlotAt(index), ctx->thread_slot_, AbortCause::kConflictTx);
+      DoomReaders(index, ctx->thread_slot_, AbortCause::kConflictTx);
     }
   }
 #ifdef RWLE_ANALYSIS
@@ -135,10 +135,10 @@ void HtmRuntime::TxCommit() {
   const OwnerToken token = MakeOwnerToken(ctx->thread_slot_, epoch);
   for (const std::uint32_t index : ctx->owned_line_indices_) {
     OwnerToken mine = token;
-    table_.SlotAt(index).writer.compare_exchange_strong(mine, 0);
+    table_.SlotAt(index).writer().compare_exchange_strong(mine, 0);
   }
   for (const std::uint32_t index : ctx->read_line_indices_) {
-    ConflictTable::ClearReaderBit(table_.SlotAt(index), ctx->thread_slot_);
+    table_.ClearReaderBit(index, ctx->thread_slot_);
   }
   ctx->write_buffer_.Clear();
   ctx->owned_line_indices_.clear();
@@ -226,10 +226,10 @@ void HtmRuntime::TxCommitChained(TxWriteSet& carryover) {
   const OwnerToken token = MakeOwnerToken(ctx->thread_slot_, epoch);
   for (const std::uint32_t index : ctx->owned_line_indices_) {
     OwnerToken mine = token;
-    table_.SlotAt(index).writer.compare_exchange_strong(mine, 0);
+    table_.SlotAt(index).writer().compare_exchange_strong(mine, 0);
   }
   for (const std::uint32_t index : ctx->read_line_indices_) {
-    ConflictTable::ClearReaderBit(table_.SlotAt(index), ctx->thread_slot_);
+    table_.ClearReaderBit(index, ctx->thread_slot_);
   }
   ctx->write_buffer_.Clear();
   ctx->owned_line_indices_.clear();
@@ -301,7 +301,7 @@ void HtmRuntime::TxSuspend() {
     const OwnerToken token = MakeOwnerToken(ctx->thread_slot_, epoch);
     for (const std::uint32_t index : ctx->owned_line_indices_) {
       OwnerToken mine = token;
-      table_.SlotAt(index).writer.compare_exchange_strong(mine, 0);
+      table_.SlotAt(index).writer().compare_exchange_strong(mine, 0);
     }
   }
 #endif
@@ -361,10 +361,10 @@ AbortCause HtmRuntime::FinishAbort(TxContext& ctx) {
   const OwnerToken token = MakeOwnerToken(ctx.thread_slot_, epoch);
   for (const std::uint32_t index : ctx.owned_line_indices_) {
     OwnerToken mine = token;
-    table_.SlotAt(index).writer.compare_exchange_strong(mine, 0);
+    table_.SlotAt(index).writer().compare_exchange_strong(mine, 0);
   }
   for (const std::uint32_t index : ctx.read_line_indices_) {
-    ConflictTable::ClearReaderBit(table_.SlotAt(index), ctx.thread_slot_);
+    table_.ClearReaderBit(index, ctx.thread_slot_);
   }
   ctx.write_buffer_.Clear();
   ctx.owned_line_indices_.clear();
@@ -440,19 +440,20 @@ void HtmRuntime::WaitWhileCommitting(OwnerToken token) {
   }
 }
 
-void HtmRuntime::DoomReaders(ConflictTable::LineSlot& slot, std::uint32_t skip_thread_slot,
+void HtmRuntime::DoomReaders(std::uint32_t index, std::uint32_t skip_thread_slot,
                              AbortCause cause) {
   // Scan only reader words that can hold a registered thread's bit. The
   // watermark is monotonic non-decreasing and read after any bit of interest
   // was set (the setter's slot was below the watermark at set time), so the
-  // bound never hides a live reader.
+  // bound never hides a live reader. With at most 64 threads only the hot
+  // record's word is read; no overflow plane is touched.
   const std::uint32_t live_words =
       (ThreadRegistry::Global().HighWatermark() + 63) / 64;
   const std::uint32_t words = live_words < ConflictTable::kReaderWords
                                   ? live_words
                                   : ConflictTable::kReaderWords;
   for (std::uint32_t word = 0; word < words; ++word) {
-    std::uint64_t bits = slot.readers[word].load();
+    std::uint64_t bits = table_.ReaderWord(index, word).load();
     while (bits != 0) {
       const int bit = __builtin_ctzll(bits);
       bits &= bits - 1;
@@ -473,7 +474,7 @@ void HtmRuntime::DoomReaders(ConflictTable::LineSlot& slot, std::uint32_t skip_t
         // Re-verify the bit, then CAS against the exact snapshot: if the
         // reader's transaction ended meanwhile, its status changed and the
         // CAS fails, so we can never doom its *next* transaction.
-        if (!ConflictTable::TestReaderBit(slot, reader_slot)) {
+        if (!table_.TestReaderBit(index, reader_slot)) {
           break;
         }
         if (reader.CasDoom(status, cause)) {
@@ -609,7 +610,7 @@ std::uint64_t HtmRuntime::TxLoad(TxContext& ctx, std::atomic<std::uint64_t>* cel
   // Resolve a conflicting write owner per the resolution policy.
   std::uint32_t spins = 0;
   for (;;) {
-    const OwnerToken token = slot.writer.load();
+    const OwnerToken token = slot.writer().load();
     if (token == 0 || token == my_token) {
       break;
     }
@@ -631,7 +632,7 @@ std::uint64_t HtmRuntime::TxLoad(TxContext& ctx, std::atomic<std::uint64_t>* cel
     }
     SpinBackoff(spins++);
     // Re-read: the dead owner's field may be reclaimed by yet another tx.
-    if (slot.writer.load() == token) {
+    if (slot.writer().load() == token) {
       break;  // doomed-but-unreleased owner; its buffer is dead, backing is valid
     }
   }
@@ -643,7 +644,7 @@ std::uint64_t HtmRuntime::TxLoad(TxContext& ctx, std::atomic<std::uint64_t>* cel
 #endif
   bool tracked_line = false;
   if (track_reads) {
-    if (ConflictTable::TestReaderBit(slot, ctx.thread_slot_)) {
+    if (table_.TestReaderBit(index, ctx.thread_slot_)) {
       tracked_line = true;
     } else if (config_.tracked_read_lines != 0 &&
                ctx.read_line_indices_.size() >= config_.tracked_read_lines) {
@@ -656,14 +657,14 @@ std::uint64_t HtmRuntime::TxLoad(TxContext& ctx, std::atomic<std::uint64_t>* cel
       if (ctx.read_line_indices_.size() >= config_.max_read_lines) {
         AbortSelf(ctx, AbortCause::kCapacityRead);  // throws
       }
-      ConflictTable::SetReaderBit(slot, ctx.thread_slot_);
+      table_.SetReaderBit(index, ctx.thread_slot_);
       ctx.read_line_indices_.push_back(index);
       tracked_line = true;
       // Close the race window: a writer that claimed the line between our
       // owner check and our bit publication scanned reader bits (at claim
       // time or, under committer-wins, at commit time) before we set ours,
       // so neither side would notice the conflict. Re-check.
-      const OwnerToken token = slot.writer.load();
+      const OwnerToken token = slot.writer().load();
       if (token != 0 && token != my_token) {
         if (config_.resolution == ResolutionPolicy::kCommitterWins) {
           // The owner keeps its line; if it is already committing, its
@@ -698,7 +699,7 @@ std::uint64_t HtmRuntime::NonTxLoad(TxContext* ctx, std::atomic<std::uint64_t>* 
   const std::uint32_t self = ctx != nullptr ? ctx->thread_slot_ : kInvalidThreadSlot;
   std::uint32_t spins = 0;
   for (;;) {
-    const OwnerToken token = slot.writer.load();
+    const OwnerToken token = slot.writer().load();
     if (token == 0) {
       return FabricLoad(FabricAccess::kNonTx, self, cell);
     }
@@ -736,7 +737,7 @@ bool HtmRuntime::ClaimLineForWrite(TxContext& ctx, std::atomic<std::uint64_t>* c
 
   std::uint32_t spins = 0;
   for (;;) {
-    OwnerToken current = slot.writer.load();
+    OwnerToken current = slot.writer().load();
     if (current == my_token) {
       return true;  // already own this line
     }
@@ -774,7 +775,7 @@ bool HtmRuntime::ClaimLineForWrite(TxContext& ctx, std::atomic<std::uint64_t>* c
           }
         }
         // Dead or stale owner: take over its field directly.
-        if (!slot.writer.compare_exchange_strong(current, my_token)) {
+        if (!slot.writer().compare_exchange_strong(current, my_token)) {
           SpinBackoff(spins++);
           continue;
         }
@@ -788,14 +789,14 @@ bool HtmRuntime::ClaimLineForWrite(TxContext& ctx, std::atomic<std::uint64_t>* c
           case DoomOutcome::kAlreadyDoomed:
           case DoomOutcome::kGone:
             // Take over the dead owner's field directly.
-            if (!slot.writer.compare_exchange_strong(current, my_token)) {
+            if (!slot.writer().compare_exchange_strong(current, my_token)) {
               SpinBackoff(spins++);
               continue;
             }
             break;
         }
       }
-    } else if (!slot.writer.compare_exchange_strong(current, my_token)) {
+    } else if (!slot.writer().compare_exchange_strong(current, my_token)) {
       SpinBackoff(spins++);
       continue;
     }
@@ -809,7 +810,7 @@ bool HtmRuntime::ClaimLineForWrite(TxContext& ctx, std::atomic<std::uint64_t>* c
       AbortSelf(ctx, AbortCause::kCapacityWrite);  // throws; line released in cleanup
     }
     if (config_.resolution == ResolutionPolicy::kRequesterWins) {
-      DoomReaders(slot, ctx.thread_slot_, AbortCause::kConflictTx);
+      DoomReaders(index, ctx.thread_slot_, AbortCause::kConflictTx);
     }
     return true;
   }
@@ -842,11 +843,12 @@ bool HtmRuntime::CellCas(std::atomic<std::uint64_t>* cell, std::uint64_t expecte
   }
   MaybeInjectInterrupt(ctx, cell);
 
-  ConflictTable::LineSlot& slot = table_.SlotFor(cell);
+  const std::uint32_t index = table_.IndexFor(cell);
+  ConflictTable::LineSlot& slot = table_.SlotAt(index);
 
   std::uint32_t spins = 0;
   for (;;) {
-    const OwnerToken token = slot.writer.load();
+    const OwnerToken token = slot.writer().load();
     if (token == 0) {
       break;
     }
@@ -861,18 +863,19 @@ bool HtmRuntime::CellCas(std::atomic<std::uint64_t>* cell, std::uint64_t expecte
     return false;
   }
   // The store succeeded: invalidate transactional readers (subscribers).
-  DoomReaders(slot, self, AbortCause::kConflictNonTx);
+  DoomReaders(index, self, AbortCause::kConflictNonTx);
   return true;
 }
 
 void HtmRuntime::NonTxStore(TxContext* ctx, std::atomic<std::uint64_t>* cell,
                             std::uint64_t value) {
-  ConflictTable::LineSlot& slot = table_.SlotFor(cell);
+  const std::uint32_t index = table_.IndexFor(cell);
+  ConflictTable::LineSlot& slot = table_.SlotAt(index);
   const std::uint32_t self = ctx != nullptr ? ctx->thread_slot_ : kInvalidThreadSlot;
 
   std::uint32_t spins = 0;
   for (;;) {
-    const OwnerToken token = slot.writer.load();
+    const OwnerToken token = slot.writer().load();
     if (token == 0) {
       break;
     }
@@ -887,7 +890,7 @@ void HtmRuntime::NonTxStore(TxContext* ctx, std::atomic<std::uint64_t>* cell,
     break;
   }
   // A store invalidates transactional read monitors on this line.
-  DoomReaders(slot, self, AbortCause::kConflictNonTx);
+  DoomReaders(index, self, AbortCause::kConflictNonTx);
   FabricStore(FabricAccess::kNonTx, self, cell, value);
 }
 

@@ -31,6 +31,7 @@
 #include <cstdint>
 
 #include "src/common/check.h"
+#include "src/common/cpu.h"
 #include "src/common/thread_registry.h"
 #include "src/htm/abort.h"
 #include "src/htm/conflict_table.h"
@@ -51,7 +52,7 @@ class InterruptSource {
   virtual bool OnAccess(std::uint32_t thread_slot, const void* address) = 0;
 };
 
-class HtmRuntime {
+class alignas(kCacheLineBytes) HtmRuntime {
  public:
   // The process-wide facility (one "machine"). Tests reconfigure it via
   // set_config between runs; TxVar routes through it unconditionally.
@@ -242,8 +243,9 @@ class HtmRuntime {
   };
 
   DoomOutcome TryDoomOwner(OwnerToken token, AbortCause cause);
-  void DoomReaders(ConflictTable::LineSlot& slot, std::uint32_t skip_thread_slot,
-                   AbortCause cause);
+  // Dooms the live transactional readers of line slot `index` (all but
+  // `skip_thread_slot`).
+  void DoomReaders(std::uint32_t index, std::uint32_t skip_thread_slot, AbortCause cause);
   void WaitWhileCommitting(OwnerToken token);
 
   // Non-dooming owner probe for the committer-wins resolution policy,
@@ -326,15 +328,22 @@ class HtmRuntime {
   // critical sections overlap in time even on hosts with few cores.
   void MaybePreempt(TxContext* ctx);
 
+  // Layout rule: the read-mostly fields every fabric access reads (the
+  // config, the table's plane pointers, the hooks) share no host cache line
+  // with state that threads write on every access (each context's
+  // access_counter_ and status word). The class and contexts_ are
+  // line-aligned for that; without the padding, thread 0's context shares
+  // a line with config_ and the table pointers, and every access on every
+  // other thread misses on it (DESIGN.md §12).
   HtmConfig config_;
   ConflictTable table_;
-  TxContext contexts_[kMaxThreads];
-  // Chains currently live across all threads; guards set_config against
-  // changing capacity limits mid-chain (see the DCHECK above).
-  std::atomic<std::uint32_t> live_chains_{0};
   InterruptSource* interrupt_source_ = nullptr;
   std::atomic<FabricObserver*> analysis_observer_{nullptr};
   std::atomic<TraceSink*> trace_sink_{nullptr};
+  alignas(kCacheLineBytes) TxContext contexts_[kMaxThreads];
+  // Chains currently live across all threads; guards set_config against
+  // changing capacity limits mid-chain (see the DCHECK above).
+  std::atomic<std::uint32_t> live_chains_{0};
 #ifdef RWLE_ANALYSIS
   FaultInjection fault_injection_;
 #endif

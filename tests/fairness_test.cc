@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "src/common/thread_registry.h"
@@ -110,20 +111,37 @@ TEST(FairnessTest, AlternatingReadersAndWritersMakeProgress) {
   RwLeLock lock(FairNsOnlyPolicy());
   TxVar<std::uint64_t> cell(0);
   std::atomic<bool> stop{false};
+  std::atomic<bool> reader_started{false};
   std::atomic<std::uint64_t> reads{0};
 
+  // Handshake so the two really alternate: the writer starts only once the
+  // reader runs, and every 100 writes it waits, outside the lock, for the
+  // reader to complete a read. The wait is bounded, so a lock that starved
+  // the reader fails the assertion below instead of hanging.
   std::thread writer([&] {
     ScopedThreadSlot slot;
+    while (!reader_started.load()) {
+      std::this_thread::yield();
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::uint64_t reads_seen = reads.load();
     for (int i = 0; i < 400; ++i) {
       lock.Write([&] { cell.Store(cell.Load() + 1); });
       if (i % 4 == 0) {
         std::this_thread::yield();
+      }
+      if (i % 100 == 99) {
+        while (reads.load() == reads_seen && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        reads_seen = reads.load();
       }
     }
     stop.store(true);
   });
   std::thread reader([&] {
     ScopedThreadSlot slot;
+    reader_started.store(true);
     while (!stop.load()) {
       lock.Read([&] { (void)cell.Load(); });
       reads.fetch_add(1);

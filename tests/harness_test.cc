@@ -3,9 +3,14 @@
 #include "src/harness/bench_harness.h"
 
 #include <gtest/gtest.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
+#include <algorithm>
 #include <atomic>
 #include <string>
+#include <vector>
 
 #include "src/common/thread_registry.h"
 #include "src/harness/figure_report.h"
@@ -466,6 +471,98 @@ TEST(ServiceBenchmarkTest, LightLoadBarelyQueuesAndOverloadSaturates) {
   EXPECT_GT(over_service.queue_delay_mean_ns, light_service.queue_delay_mean_ns);
   EXPECT_FALSE(over_service.slo_met);
   EXPECT_TRUE(light_service.slo_met);  // both targets 0 = no target
+}
+
+// Restricts the calling thread, and the workers it spawns, to one CPU for
+// its scope. Workers then run one after another: each finishes its few ops
+// before the next is scheduled, so every worker but the first starts late.
+class OneCpuScope {
+ public:
+  OneCpuScope() {
+#if defined(__linux__)
+    if (sched_getaffinity(0, sizeof(saved_), &saved_) != 0) {
+      return;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+#endif
+  }
+  ~OneCpuScope() {
+#if defined(__linux__)
+    if (pinned_) {
+      sched_setaffinity(0, sizeof(saved_), &saved_);
+    }
+#endif
+  }
+  OneCpuScope(const OneCpuScope&) = delete;
+  OneCpuScope& operator=(const OneCpuScope&) = delete;
+
+ private:
+#if defined(__linux__)
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+#endif
+};
+
+// A worker that starts after another finished must still get its own slot,
+// and with it a fresh CostMeter shard: inheriting a finished server's shard
+// starts the late server's virtual clock at the other's horizon, which at
+// light load shows up as queueing delay that never happened. Slots follow
+// worker index, and each worker keeps one slot for the whole run.
+TEST(ServiceBenchmarkTest, LateStartersKeepTheirOwnSlotAndClock) {
+  constexpr std::uint32_t kWorkers = 8;
+  std::vector<std::uint32_t> first_slot(kWorkers, kInvalidThreadSlot);
+  std::atomic<std::uint32_t> slot_changes{0};
+  auto lock = MakeLock("rwle-opt");
+  TxVar<std::uint64_t> cell(0);
+  const OpFn counter = service_test::CounterOp(*lock, cell);
+  const OpFn op = [&](std::uint32_t t, Rng& rng, bool is_write) {
+    const std::uint32_t slot = CurrentThreadSlot();
+    if (first_slot[t] == kInvalidThreadSlot) {
+      first_slot[t] = slot;
+    } else if (first_slot[t] != slot) {
+      slot_changes.fetch_add(1);
+    }
+    counter(t, rng, is_write);
+  };
+
+  ServiceRunOptions options = service_test::BaseOptions();
+  options.threads = kWorkers;
+  options.total_ops = kWorkers * 4;
+  options.arrival_rate_ops = 1e4;  // light load: servers idle between arrivals
+  ServiceSnapshot service;
+  {
+    const OneCpuScope one_cpu;
+    service = RunServiceBenchmark(options, *lock, op).service;
+  }
+  EXPECT_EQ(slot_changes.load(), 0u);
+  for (std::uint32_t t = 1; t < kWorkers; ++t) {
+    EXPECT_GT(first_slot[t], first_slot[t - 1]) << "worker " << t;
+  }
+  EXPECT_EQ(service.completions, options.total_ops);
+  EXPECT_LT(service.queue_delay_mean_ns, 10.0);
+
+  // The closed-loop runner follows the same slot contract.
+  std::fill(first_slot.begin(), first_slot.end(), kInvalidThreadSlot);
+  RunOptions closed;
+  closed.threads = kWorkers;
+  closed.total_ops = kWorkers * 4;
+  closed.write_ratio = 0.2;
+  {
+    const OneCpuScope one_cpu;
+    RunBenchmark(closed, *lock, op);
+  }
+  EXPECT_EQ(slot_changes.load(), 0u);
+  for (std::uint32_t t = 1; t < kWorkers; ++t) {
+    EXPECT_GT(first_slot[t], first_slot[t - 1]) << "worker " << t;
+  }
 }
 
 }  // namespace

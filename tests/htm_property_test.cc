@@ -1,6 +1,7 @@
 // Property-style tests of the HTM fabric: parameterized capacity
-// boundaries, line aliasing (false sharing), sequential oracles, and
-// multi-threaded stress with atomicity counting.
+// boundaries, line aliasing (false sharing), sequential oracles,
+// multi-threaded stress with atomicity counting, and conflict detection for
+// thread slots whose reader bits live in an overflow plane.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -348,6 +349,110 @@ TEST_F(ConfigSaver, PreemptionPeriodZeroDisablesYielding) {
     cell.Store(cell.Load() + 1);  // must not crash or yield-loop
   }
   EXPECT_EQ(cell.LoadDirect(), 1000u);
+}
+
+// --- Overflow reader planes ----------------------------------------------------
+
+// Holds every registry slot below 64 for the duration of a case, so the next
+// thread to register reads through reader word 1 -- the first overflow plane
+// of the conflict table, which no run of 64 or fewer threads touches.
+class OverflowPlaneTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (;;) {
+      const std::uint32_t slot = ThreadRegistry::Global().Register();
+      if (slot >= 64) {
+        ThreadRegistry::Global().Unregister(slot);
+        break;
+      }
+      held_.push_back(slot);
+    }
+  }
+  void TearDown() override {
+    for (const std::uint32_t slot : held_) {
+      ThreadRegistry::Global().Unregister(slot);
+    }
+  }
+
+  struct ReaderOutcome {
+    std::uint32_t slot = kInvalidThreadSlot;
+    bool bit_set_while_reading = false;
+    bool bit_clear_after = false;
+    bool committed = false;
+    AbortCause cause = AbortCause::kNone;
+  };
+
+  // A reader thread (slot >= 64) loads `cell` in an HTM transaction and
+  // holds it open while `conflict` runs on the calling thread; then it
+  // tries to commit.
+  template <typename Conflict>
+  ReaderOutcome ReadAcross(Cell& cell, Conflict conflict) {
+    ReaderOutcome outcome;
+    ConflictTable& table = Rt().conflict_table();
+    const std::uint32_t index = table.IndexFor(&cell.v);
+    std::atomic<int> stage{0};
+    std::thread reader([&] {
+      const ScopedThreadSlot slot;
+      outcome.slot = slot.slot();
+      try {
+        Rt().TxBegin(TxKind::kHtm);
+        (void)cell.v.Load();
+        outcome.bit_set_while_reading = table.TestReaderBit(index, slot.slot());
+        stage.store(1);
+        while (stage.load() != 2) {
+          std::this_thread::yield();
+        }
+        Rt().TxCommit();
+        outcome.committed = true;
+      } catch (const TxAbortException& abort) {
+        outcome.cause = abort.cause();
+      }
+      outcome.bit_clear_after = !table.TestReaderBit(index, slot.slot());
+    });
+    while (stage.load() != 1) {
+      std::this_thread::yield();
+    }
+    conflict();
+    stage.store(2);
+    reader.join();
+    return outcome;
+  }
+
+  std::vector<std::uint32_t> held_;
+};
+
+TEST_F(OverflowPlaneTest, NonTxStoreDoomsAHighSlotReader) {
+  Cell cell;
+  // The calling thread is unregistered, so its store is non-transactional.
+  const ReaderOutcome outcome = ReadAcross(cell, [&] { cell.v.Store(1); });
+  EXPECT_GE(outcome.slot, 64u);
+  EXPECT_TRUE(outcome.bit_set_while_reading);
+  EXPECT_FALSE(outcome.committed);
+  EXPECT_EQ(outcome.cause, AbortCause::kConflictNonTx);
+  EXPECT_TRUE(outcome.bit_clear_after);
+  EXPECT_EQ(cell.v.LoadDirect(), 1u);
+}
+
+TEST_F(OverflowPlaneTest, ConflictingHtmWriterDoomsAHighSlotReader) {
+  Cell cell;
+  bool writer_committed = false;
+  const ReaderOutcome outcome = ReadAcross(cell, [&] {
+    std::thread writer([&] {
+      const ScopedThreadSlot slot;
+      Rt().TxBegin(TxKind::kHtm);
+      cell.v.Store(1);
+      Rt().TxCommit();
+      writer_committed = true;
+    });
+    writer.join();
+  });
+  EXPECT_GE(outcome.slot, 64u);
+  EXPECT_TRUE(outcome.bit_set_while_reading);
+  EXPECT_TRUE(writer_committed);
+  EXPECT_FALSE(outcome.committed);
+  EXPECT_EQ(outcome.cause, AbortCause::kConflictTx);
+  EXPECT_TRUE(outcome.bit_clear_after);
+  EXPECT_EQ(cell.v.LoadDirect(), 1u);
 }
 
 }  // namespace

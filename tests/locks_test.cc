@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -66,6 +67,42 @@ TEST_F(LocksTest, HleFallsBackToSerialOnCapacity) {
   EXPECT_GE(stats.aborts[static_cast<int>(AbortCategory::kHtmCapacity)], 1u);
 }
 
+// Three threads take 50 read sections each; returns the most readers seen
+// inside at once. Handshake so the readers must overlap: each thread's
+// first read section waits inside the lock until two readers have been
+// inside at once. The wait is bounded, so a lock that excluded readers from
+// each other returns 1 instead of hanging.
+template <typename Lock>
+int MaxConcurrentReaders(Lock& lock) {
+  std::atomic<int> readers_inside{0};
+  std::atomic<int> max_readers{0};
+  std::vector<std::thread> workers;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int t = 0; t < 3; ++t) {
+    workers.emplace_back([&] {
+      ScopedThreadSlot slot;
+      for (int i = 0; i < 50; ++i) {
+        lock.Read([&] {
+          const int inside = readers_inside.fetch_add(1) + 1;
+          int seen = max_readers.load();
+          while (inside > seen && !max_readers.compare_exchange_weak(seen, inside)) {
+          }
+          while (i == 0 && max_readers.load() < 2 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          std::this_thread::yield();
+          readers_inside.fetch_sub(1);
+        });
+      }
+    });
+  }
+  for (auto& worker : workers) {
+    worker.join();
+  }
+  return max_readers.load();
+}
+
 template <typename Lock>
 void ExerciseMutualExclusion(Lock& lock, int threads, int iterations) {
   TxVar<std::uint64_t> counter(0);
@@ -106,28 +143,7 @@ TEST_F(LocksTest, SglWriteMutualExclusion) {
 
 TEST_F(LocksTest, RwLockAllowsConcurrentReaders) {
   RwLock lock;
-  std::atomic<int> readers_inside{0};
-  std::atomic<int> max_readers{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 3; ++t) {
-    workers.emplace_back([&] {
-      ScopedThreadSlot slot;
-      for (int i = 0; i < 50; ++i) {
-        lock.Read([&] {
-          const int inside = readers_inside.fetch_add(1) + 1;
-          int seen = max_readers.load();
-          while (inside > seen && !max_readers.compare_exchange_weak(seen, inside)) {
-          }
-          std::this_thread::yield();
-          readers_inside.fetch_sub(1);
-        });
-      }
-    });
-  }
-  for (auto& worker : workers) {
-    worker.join();
-  }
-  EXPECT_GE(max_readers.load(), 2);
+  EXPECT_GE(MaxConcurrentReaders(lock), 2);
 }
 
 TEST_F(LocksTest, RwLockWriterExcludesReaders) {
@@ -164,28 +180,7 @@ TEST_F(LocksTest, RwLockWriterExcludesReaders) {
 
 TEST_F(LocksTest, BrLockReadersDontBlockEachOther) {
   BrLock lock;
-  std::atomic<int> readers_inside{0};
-  std::atomic<int> max_readers{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 3; ++t) {
-    workers.emplace_back([&] {
-      ScopedThreadSlot slot;
-      for (int i = 0; i < 50; ++i) {
-        lock.Read([&] {
-          const int inside = readers_inside.fetch_add(1) + 1;
-          int seen = max_readers.load();
-          while (inside > seen && !max_readers.compare_exchange_weak(seen, inside)) {
-          }
-          std::this_thread::yield();
-          readers_inside.fetch_sub(1);
-        });
-      }
-    });
-  }
-  for (auto& worker : workers) {
-    worker.join();
-  }
-  EXPECT_GE(max_readers.load(), 2);
+  EXPECT_GE(MaxConcurrentReaders(lock), 2);
 }
 
 TEST_F(LocksTest, TxMutexPhysicalAcquisitionExcludes) {

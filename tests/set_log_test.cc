@@ -26,16 +26,16 @@ struct alignas(kCacheLineBytes) Line {
 };
 
 // Counts conflict-table slots with any footprint (owner token or reader
-// bit). A full-table scan is the point: "cleared exactly the touched slots"
-// means zero slots anywhere are left dirty.
+// bit). A full-table scan of every plane is the point: "cleared exactly the
+// touched slots" means zero slots anywhere are left dirty, whichever reader
+// word a thread slot maps to.
 std::uint32_t DirtySlotCount() {
   ConflictTable& table = Rt().conflict_table();
   std::uint32_t dirty = 0;
   for (std::uint32_t index = 0; index < ConflictTable::kSlotCount; ++index) {
-    ConflictTable::LineSlot& slot = table.SlotAt(index);
-    bool any = slot.writer.load() != 0;
+    bool any = table.SlotAt(index).writer().load() != 0;
     for (std::uint32_t word = 0; word < ConflictTable::kReaderWords; ++word) {
-      any = any || slot.readers[word].load() != 0;
+      any = any || table.ReaderWord(index, word).load() != 0;
     }
     dirty += any ? 1 : 0;
   }

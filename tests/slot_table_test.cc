@@ -8,12 +8,9 @@
 #include <atomic>
 #include <barrier>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "src/common/thread_registry.h"
 #include "src/locks/lock_factory.h"
@@ -21,6 +18,7 @@
 #include "src/rwle/rwle_lock.h"
 #include "src/stats/stats.h"
 #include "src/trace/latency_registry.h"
+#include "tests/resident_set.h"
 
 namespace rwle {
 namespace {
@@ -237,26 +235,6 @@ TEST(SlotTableTest, StatsAndLatencyStayExactAcrossSlotRecycling) {
   steady_release.arrive_and_wait();
   steady.join();
 }
-
-// Sanitizer shadow memory and redzones grow with the application's own
-// allocations, so the resident set no longer measures the locks alone.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define RWLE_RSS_IS_INSTRUMENTED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define RWLE_RSS_IS_INSTRUMENTED 1
-#endif
-#endif
-
-#if defined(__linux__) && !defined(RWLE_RSS_IS_INSTRUMENTED)
-std::int64_t ResidentBytes() {
-  std::ifstream statm("/proc/self/statm");
-  std::int64_t size = 0;
-  std::int64_t resident = 0;
-  statm >> size >> resident;
-  return resident * sysconf(_SC_PAGESIZE);
-}
-#endif
 
 // Per-lock memory grows with the threads that use a lock: a built but
 // unused rwle-opt lock costs at most a page, and one used by four threads

@@ -11,10 +11,11 @@
 //
 // Single-threaded on purpose: contention effects belong to the modeled
 // layer; this harness isolates the per-operation software overhead that a
-// refactor can silently regress. Each benchmark runs --reps repetitions of
-// --ops operations; the *minimum* ns/op over reps is the reported (and
-// gated) number, since the minimum is the least-disturbed measurement on a
-// shared host.
+// refactor can silently regress. The one exception, hashmap_node_cycle,
+// times a host-side lock that no modeled cost covers. Each benchmark runs
+// --reps repetitions of --ops operations; the *minimum* ns/op over reps is
+// the reported (and gated) number, since the minimum is the
+// least-disturbed measurement on a shared host.
 //
 // This is the repo's one micro-benchmark driver: a stable machine-readable
 // schema and no external dependency, so it can seed baselines and gate CI.
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/chop/chopped_section.h"
@@ -42,6 +44,7 @@
 #include "src/memory/tx_var.h"
 #include "src/rwle/rwle_lock.h"
 #include "src/trace/trace_sink.h"
+#include "src/workloads/hashmap/tx_hashmap.h"
 
 namespace rwle {
 namespace {
@@ -268,6 +271,29 @@ void SuspendResume(std::uint64_t ops) {
   }
 }
 
+// One op = PrepareNode + FreeNode, the node allocation pair behind every
+// hashmap insert and remove, on 4 threads at once: the only multi-threaded
+// body here, because what it times is the node slabs' one mutex under
+// contention (PERFORMANCE.md, "Hashmap node memory").
+void HashmapNodeCycle(std::uint64_t ops) {
+  constexpr std::uint64_t kThreads = 4;
+  auto cycle = [](std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      TxHashMap::Node* node = TxHashMap::PrepareNode(i, i * 3);
+      KeepAlive(reinterpret_cast<std::uintptr_t>(node));
+      TxHashMap::FreeNode(node);
+    }
+  };
+  std::vector<std::thread> helpers;
+  for (std::uint64_t t = 1; t < kThreads; ++t) {
+    helpers.emplace_back(cycle, ops / kThreads);
+  }
+  cycle(ops - (kThreads - 1) * (ops / kThreads));
+  for (auto& helper : helpers) {
+    helper.join();
+  }
+}
+
 // The baselines' read sections, same shape as rwle_read_section: one load
 // inside the lock's read critical section.
 template <typename Lock>
@@ -333,6 +359,8 @@ constexpr MicroBench kBenchmarks[] = {
     {"brlock_read_section", "BrLock.Read: per-thread reader mutex",
      ReadSection<BrLock>},
     {"sgl_section", "SglLock.Write: single global lock, load + store", SglSection},
+    {"hashmap_node_cycle", "TxHashMap PrepareNode + FreeNode, 4 threads at once",
+     HashmapNodeCycle},
 };
 
 PerfBenchmarkResult RunBench(const MicroBench& bench, std::uint64_t ops,

@@ -37,6 +37,16 @@ class TxVar {
   T Load() const { return Decode(HtmRuntime::Global().CellLoad(&bits_)); }
   void Store(T value) { HtmRuntime::Global().CellStore(&bits_, Encode(value)); }
 
+  // Gives a recycled cell its next occupant: construction, but as an atomic
+  // store. Type-stable memory (node_slabs.h) needs it because a doomed
+  // transaction may still load the cell while it is recycled.
+  void Reinit(T value) {
+    // relaxed: the new owner publishes the cell only through a later
+    // committed fabric store; a racing doomed reader discards what it reads.
+    bits_.store(Encode(value), std::memory_order_relaxed);
+    NotifyInit(Encode(value));
+  }
+
   // Direct access bypassing the fabric. Only valid while no transaction can
   // touch this cell (single-threaded setup and post-run verification). In
   // analysis builds these are observed so txsan can flag misuse.
@@ -52,9 +62,9 @@ class TxVar {
 #endif
 
  private:
-  // Construction resets any analysis shadow state left by a previous
-  // occupant of this address (arenas placement-new TxVars over reused
-  // memory). No-op outside analysis builds.
+  // Construction and Reinit reset any analysis shadow state left by a
+  // previous occupant of this address (arenas placement-new TxVars over
+  // reused memory). No-op outside analysis builds.
   void NotifyInit(std::uint64_t bits) {
 #ifdef RWLE_ANALYSIS
     HtmRuntime::Global().CellInit(&bits_, bits);

@@ -55,6 +55,8 @@ class HashMapWorkload {
       TxHashMap::Node* unlinked = nullptr;
       lock.Write([&] { map_.Remove(key, &unlinked); });
       if (unlinked != nullptr) {
+        // A doomed speculative reader may still load the node; its memory is
+        // type-stable (node_slabs.h), so returning it here is safe.
         TxHashMap::FreeNode(unlinked);
       }
     }

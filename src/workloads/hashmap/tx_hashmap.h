@@ -6,9 +6,13 @@
 // lines in an HTM transaction's read set.
 //
 // Memory discipline under speculation: nodes are allocated *outside*
-// critical sections (PrepareNode) and freed *outside* them after the
+// critical sections (PrepareNode) and returned *outside* them after the
 // enclosing Write() committed (FreeNode); aborted attempts therefore never
-// leak or double-free. See DESIGN.md §6.
+// leak or double-free. Nodes are type-stable (node_slabs.h): a returned node
+// is only ever handed out again as a node, re-initialized with atomic
+// stores, and never freed mid-run, so a doomed transaction that still loads
+// it reads a valid value and aborts at its next fabric access. See
+// DESIGN.md §6.
 #ifndef RWLE_SRC_WORKLOADS_HASHMAP_TX_HASHMAP_H_
 #define RWLE_SRC_WORKLOADS_HASHMAP_TX_HASHMAP_H_
 
@@ -19,13 +23,15 @@
 #include "src/common/check.h"
 #include "src/common/cpu.h"
 #include "src/memory/tx_var.h"
+#include "src/workloads/hashmap/node_slabs.h"
 
 namespace rwle {
 
 class TxHashMap {
  public:
+  // Every node lives in the process-wide type-stable slabs (node_slabs.h):
+  // constructed once, recycled through PrepareNode/FreeNode, never destroyed.
   struct alignas(kCacheLineBytes) Node {
-    explicit Node(std::uint64_t k, std::uint64_t v) : key(k), value(v), next(nullptr) {}
     TxVar<std::uint64_t> key;
     TxVar<std::uint64_t> value;
     TxVar<Node*> next;
@@ -42,7 +48,7 @@ class TxHashMap {
       Node* node = bucket.head.LoadDirect();
       while (node != nullptr) {
         Node* next = node->next.LoadDirect();  // direct: teardown, as above
-        delete node;
+        FreeNode(node);
         node = next;
       }
     }
@@ -56,14 +62,21 @@ class TxHashMap {
   // ---- Outside critical sections ----
 
   static Node* PrepareNode(std::uint64_t key, std::uint64_t value) {
-    return new Node(key, value);
+    Node* node = NodeSlabs<Node>::Global().Allocate();
+    node->key.Reinit(key);
+    node->value.Reinit(value);
+    node->next.Reinit(nullptr);
+    return node;
   }
 
-  static void DiscardNode(Node* node) { delete node; }
+  static void DiscardNode(Node* node) { NodeSlabs<Node>::Global().Free(node); }
 
-  // Safe after the Write() that unlinked the node returned: RW-LE's
-  // quiescence guarantees no reader still holds a reference.
-  static void FreeNode(Node* node) { delete node; }
+  // Call after the Write() that unlinked the node returned. A speculative
+  // transaction (an HLE reader, an RW-LE writer on the HTM or ROT path) may
+  // still hold the node: quiescence drains only uninstrumented readers. It
+  // is doomed by the unlink, and the node stays a node (type-stable slabs),
+  // so what it loads next is valid and its next fabric access aborts it.
+  static void FreeNode(Node* node) { NodeSlabs<Node>::Global().Free(node); }
 
   // Single-threaded setup: inserts `per_bucket` items into every bucket.
   // Key k lives in bucket k % bucket_count; keys are dense in
@@ -73,7 +86,7 @@ class TxHashMap {
       Node* head = nullptr;
       for (std::size_t i = 0; i < per_bucket; ++i) {
         const std::uint64_t key = i * buckets_.size() + b;
-        Node* node = new Node(key, key * 3);
+        Node* node = PrepareNode(key, key * 3);
         node->next.StoreDirect(head);  // direct: single-threaded setup
         head = node;
       }

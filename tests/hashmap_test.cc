@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,9 +17,146 @@
 #include "src/common/thread_registry.h"
 #include "src/locks/lock_factory.h"
 #include "src/workloads/hashmap/hashmap_workload.h"
+#include "tests/resident_set.h"
 
 namespace rwle {
 namespace {
+
+std::uintptr_t Address(const TxHashMap::Node* node) {
+  return reinterpret_cast<std::uintptr_t>(node);
+}
+
+// Node memory: every node comes from the process-wide type-stable slabs
+// (node_slabs.h). These tests run first in this binary, and every other
+// test returns all of its nodes, so each starts on a pool with no node in
+// use.
+
+// Populating read_mostly's table (8192 buckets x 24 nodes) keeps one
+// 128-B block resident per node plus a slab header every 2048 blocks:
+// 24.3 MiB of nodes and 1 MiB of buckets. A 256-B allocator stride, as
+// glibc's aligned new gives, doubles it.
+TEST(NodeSlabsTest, PopulatedTableStaysNearOneLinePerNode) {
+#if defined(__linux__) && !defined(RWLE_RSS_IS_INSTRUMENTED)
+  if (HtmRuntime::Global().analysis_observer() != nullptr) {
+    GTEST_SKIP() << "txsan's shadow state grows with every cell it observes";
+  }
+  const std::int64_t before = ResidentBytes();
+  TxHashMap map(8192);
+  map.Populate(24);
+  const std::int64_t added = ResidentBytes() - before;
+  EXPECT_LE(added, std::int64_t{28} << 20) << "populating 196608 nodes added " << added
+                                           << " resident bytes";
+#else
+  GTEST_SKIP() << "resident set is not measurable in this build";
+#endif
+}
+
+TEST(NodeSlabsTest, FreedNodeIsNextHandedOutAtLowestFreeAddress) {
+  TxHashMap::Node* a = TxHashMap::PrepareNode(1, 3);
+  TxHashMap::Node* b = TxHashMap::PrepareNode(2, 6);
+  TxHashMap::Node* c = TxHashMap::PrepareNode(3, 9);
+  EXPECT_LT(Address(a), Address(b));
+  EXPECT_LT(Address(b), Address(c));
+
+  TxHashMap::FreeNode(b);
+  TxHashMap::Node* d = TxHashMap::PrepareNode(4, 12);
+  EXPECT_EQ(d, b);
+
+  // Two free blocks: the lower one goes first, whatever the release order.
+  TxHashMap::FreeNode(a);
+  TxHashMap::DiscardNode(c);
+  TxHashMap::Node* e = TxHashMap::PrepareNode(5, 15);
+  TxHashMap::Node* f = TxHashMap::PrepareNode(6, 18);
+  EXPECT_EQ(e, a);
+  EXPECT_EQ(f, c);
+  for (TxHashMap::Node* node : {d, e, f}) {
+    TxHashMap::FreeNode(node);
+  }
+}
+
+TEST(NodeSlabsTest, PopulatedNodesAreOneBlockApart) {
+  ScopedThreadSlot slot;
+  TxHashMap map(1);
+  map.Populate(64);  // one bucket: key i is the i-th node allocated
+  std::vector<TxHashMap::Node*> nodes(64);
+  for (std::uint64_t key = 0; key < 64; ++key) {
+    ASSERT_TRUE(map.Remove(key, &nodes[key]));
+  }
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    EXPECT_EQ(Address(nodes[i]) - Address(nodes[i - 1]), sizeof(TxHashMap::Node)) << i;
+  }
+  for (TxHashMap::Node* node : nodes) {
+    TxHashMap::FreeNode(node);
+  }
+}
+
+// Distinct 4-KiB pages holding bucket b's populated nodes. Unlinks them
+// (this is the table's last use) and returns them to the pool.
+std::size_t BucketPages(TxHashMap& map, std::size_t bucket, std::size_t per_bucket) {
+  std::set<std::uintptr_t> pages;
+  for (std::size_t i = 0; i < per_bucket; ++i) {
+    TxHashMap::Node* node = nullptr;
+    if (map.Remove(i * map.bucket_count() + bucket, &node)) {
+      pages.insert(Address(node) >> 12);
+      TxHashMap::FreeNode(node);
+    }
+  }
+  return pages.size();
+}
+
+// The e2e benchmark rebuilds its table for every trial. Reuse must not
+// scatter a later table's chains: after five cycles of populate, 4-thread
+// insert/remove churn and teardown, a freshly populated bucket still sits
+// on at most 2 pages (24 nodes = 3 KiB). A LIFO free list hands the
+// previous table's churn nodes back first and spreads chains wider.
+TEST(NodeSlabsTest, ChurnedAndRebuiltTablesKeepChainsOnTwoPages) {
+  constexpr std::size_t kBuckets = 256;
+  constexpr std::size_t kPerBucket = 24;
+  constexpr std::uint64_t kStable = kBuckets * kPerBucket;
+  constexpr std::uint64_t kChurn = 1024;
+  constexpr int kThreads = 4;
+  auto lock = MakeLock("rwle-opt");
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    TxHashMap map(kBuckets);
+    map.Populate(kPerBucket);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ScopedThreadSlot slot;
+        Rng rng(100 * cycle + t);
+        for (int i = 0; i < 500; ++i) {
+          const std::uint64_t key = kStable + rng.NextBelow(kChurn);
+          if (rng.NextBool(0.5)) {
+            TxHashMap::Node* node = TxHashMap::PrepareNode(key, key * 3);
+            bool inserted = false;
+            lock->Write([&] { inserted = map.InsertPrepared(node); });
+            if (!inserted) {
+              TxHashMap::DiscardNode(node);
+            }
+          } else {
+            TxHashMap::Node* unlinked = nullptr;
+            lock->Write([&] { map.Remove(key, &unlinked); });
+            if (unlinked != nullptr) {
+              TxHashMap::FreeNode(unlinked);
+            }
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) {
+      thread.join();
+    }
+  }
+
+  ScopedThreadSlot slot;
+  TxHashMap map(kBuckets);
+  map.Populate(kPerBucket);
+  std::size_t widest = 0;
+  for (std::size_t bucket = 0; bucket < kBuckets; ++bucket) {
+    widest = std::max(widest, BucketPages(map, bucket, kPerBucket));
+  }
+  EXPECT_LE(widest, 2u);
+}
 
 TEST(TxHashMapTest, InsertLookupRemove) {
   ScopedThreadSlot slot;
@@ -156,7 +296,7 @@ TEST_P(HashMapSchemeTest, ReadersSeeOnlyCommittedValues) {
 
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
+    readers.emplace_back([&, r] {
       ScopedThreadSlot slot;
       Rng rng(100 + r);
       while (!stop.load()) {

@@ -30,10 +30,10 @@
 #include "src/chop/chopped_section.h"
 #include "src/common/flags.h"
 #include "src/common/stopwatch.h"
-#include "src/common/thread_registry.h"
 #include "src/harness/perf_report.h"
 #include "src/harness/result_serializer.h"
 #include "src/htm/htm_runtime.h"
+#include "src/htm/thread_state.h"
 #include "src/htm/tx_write_set.h"
 #include "src/locks/br_lock.h"
 #include "src/locks/bravo_lock.h"

@@ -16,7 +16,7 @@
 
 #include "src/common/flags.h"
 #include "src/common/rng.h"
-#include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/rwle_lock.h"
 

@@ -8,8 +8,8 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/thread_registry.h"
 #include "src/htm/htm_runtime.h"
+#include "src/htm/thread_state.h"
 #include "src/memory/tx_var.h"
 
 namespace {

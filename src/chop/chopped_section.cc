@@ -1,5 +1,7 @@
 #include "src/chop/chopped_section.h"
 
+#include <optional>
+
 #include "src/common/check.h"
 #include "src/common/sched_hooks.h"
 #include "src/htm/htm_runtime.h"
@@ -13,27 +15,6 @@ namespace {
 // Sentinel for "no chain token held" (concurrent mode). A held lock word
 // always has a non-zero state byte, so 0 never aliases a real token.
 constexpr std::uint64_t kNoToken = 0;
-
-// SerialSectionScope that only engages in serialized-chain mode.
-class ConditionalSerialScope {
- public:
-  ConditionalSerialScope(bool engage, SerialScope scope) : engaged_(engage) {
-    if (engaged_) {
-      CostMeter::Global().EnterSerial(scope_ = scope);
-    }
-  }
-  ~ConditionalSerialScope() {
-    if (engaged_) {
-      CostMeter::Global().ExitSerial(scope_);
-    }
-  }
-  ConditionalSerialScope(const ConditionalSerialScope&) = delete;
-  ConditionalSerialScope& operator=(const ConditionalSerialScope&) = delete;
-
- private:
-  bool engaged_;
-  SerialScope scope_ = SerialScope::kWriters;
-};
 
 }  // namespace
 
@@ -76,7 +57,7 @@ void ChoppedSection::RunPiece(std::size_t index, PieceRef piece) {
     runtime.TxCancel();
     throw;  // user exception; WriteImpl unwinds the chain
   }
-  runtime.TxCommitChained(carryover_[CurrentThreadSlot()].set);  // throws if doomed
+  runtime.TxCommitChained(carryover_.Local(CurrentThreadSlot()).set);  // throws if doomed
 }
 
 std::uint64_t ChoppedSection::HoldNs(std::uint64_t token) {
@@ -87,7 +68,7 @@ std::uint64_t ChoppedSection::HoldNs(std::uint64_t token) {
 void ChoppedSection::PublishChain(std::uint32_t slot, std::uint64_t token,
                                   std::size_t pieces) {
   HtmRuntime& runtime = HtmRuntime::Global();
-  TxWriteSet& carryover = carryover_[slot].set;
+  TxWriteSet& carryover = carryover_.Local(slot).set;
   {
     // The window's quiescence is the chain's single barrier (§3.3
     // amortization): readers are blocked by the NS word, so the
@@ -144,18 +125,18 @@ void ChoppedSection::WriteImpl(std::size_t piece_count, PieceRef piece) {
 
   HtmRuntime& runtime = HtmRuntime::Global();
   StatsRegistry& stats = lock_.stats();
-  TxWriteSet& carryover = carryover_[slot].set;
+  TxWriteSet& carryover = carryover_.Local(slot).set;
   RWLE_CHECK(carryover.empty() && "carryover leaked from a previous chain");
 
+  // Serialized chains hold the token and occupy the writer-serial bucket for
+  // their whole duration (like the ROT path); concurrent chains' pieces run
+  // in the parallel bucket and only the publication window is serial.
   std::uint64_t token = kNoToken;
+  std::optional<SerialSectionScope> chain_scope;
   if (policy_.serialize_chains) {
     token = lock_.wlock_.Acquire(LockState::kRotLocked);
+    chain_scope.emplace(SerialScope::kWriters);
   }
-  // Serialized chains occupy the writer-serial bucket for their whole
-  // duration (like the ROT path); concurrent chains' pieces run in the
-  // parallel bucket and only the publication window is serial.
-  const ConditionalSerialScope chain_scope(policy_.serialize_chains,
-                                           SerialScope::kWriters);
 
   runtime.BeginChain(&carryover);
   bool chain_open = true;

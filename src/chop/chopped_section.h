@@ -53,7 +53,7 @@
 #include <type_traits>
 
 #include "src/common/cpu.h"
-#include "src/common/thread_registry.h"
+#include "src/common/slot_table.h"
 #include "src/htm/tx_write_set.h"
 #include "src/rwle/rwle_lock.h"
 
@@ -141,7 +141,7 @@ class ChoppedSection {
   struct alignas(kCacheLineBytes) CarryoverShard {
     TxWriteSet set;
   };
-  CarryoverShard carryover_[kMaxThreads];
+  SlotTable<CarryoverShard> carryover_;
 };
 
 }  // namespace rwle

@@ -1,17 +1,8 @@
 #include "src/common/thread_registry.h"
 
-#ifdef RWLE_ANALYSIS
-#include "src/common/analysis_hooks.h"
-#endif
 #include "src/common/check.h"
-#include "src/common/sched_hooks.h"
 
 namespace rwle {
-namespace {
-
-thread_local std::uint32_t tls_thread_slot = kInvalidThreadSlot;
-
-}  // namespace
 
 ThreadRegistry& ThreadRegistry::Global() {
   static ThreadRegistry registry;
@@ -61,29 +52,6 @@ void ThreadRegistry::Unregister(std::uint32_t slot) {
   const std::uint64_t prev =
       in_use_words_[slot / 64].fetch_and(~mask, std::memory_order_release);
   RWLE_CHECK((prev & mask) != 0 && "unregistering a slot that is not in use");
-}
-
-std::uint32_t CurrentThreadSlot() { return tls_thread_slot; }
-
-ScopedThreadSlot::ScopedThreadSlot() : slot_(ThreadRegistry::Global().Register()) {
-  RWLE_CHECK(tls_thread_slot == kInvalidThreadSlot &&
-             "thread registered twice (nested ScopedThreadSlot)");
-  tls_thread_slot = slot_;
-#ifdef RWLE_ANALYSIS
-  analysis_hooks::NotifyThreadRegister(slot_);
-#endif
-  // After registration, so a context switch here cannot reorder slot
-  // assignment: under the scheduler, slots are handed out in schedule order.
-  RWLE_SCHED_POINT(kThreadRegister, nullptr);
-}
-
-ScopedThreadSlot::~ScopedThreadSlot() {
-  RWLE_SCHED_POINT(kThreadUnregister, nullptr);
-#ifdef RWLE_ANALYSIS
-  analysis_hooks::NotifyThreadUnregister(slot_);
-#endif
-  tls_thread_slot = kInvalidThreadSlot;
-  ThreadRegistry::Global().Unregister(slot_);
 }
 
 }  // namespace rwle

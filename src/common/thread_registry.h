@@ -1,7 +1,8 @@
 // Process-wide registry mapping worker threads to dense slot indices.
-// The HTM simulator's conflict tracking, RW-LE's per-thread epoch clocks and
-// the statistics shards are all arrays indexed by slot. Slots are recycled
-// when a thread unregisters, so long test runs do not exhaust the table.
+// Per-thread state lives in SlotTable records keyed by slot, made only for
+// slots that register (src/htm/thread_state.h, whose ScopedThreadSlot is how
+// threads register). Slots are recycled when a thread unregisters, so long
+// test runs do not exhaust the table.
 #ifndef RWLE_SRC_COMMON_THREAD_REGISTRY_H_
 #define RWLE_SRC_COMMON_THREAD_REGISTRY_H_
 
@@ -54,25 +55,6 @@ class ThreadRegistry {
 
   std::atomic<std::uint64_t> in_use_words_[kInUseWords] = {};
   std::atomic<std::uint32_t> high_watermark_{0};
-};
-
-// Returns this thread's slot, or kInvalidThreadSlot if not registered.
-std::uint32_t CurrentThreadSlot();
-
-// RAII registration. Benchmark workers and tests construct one at thread
-// start; everything downstream reads CurrentThreadSlot().
-class ScopedThreadSlot {
- public:
-  ScopedThreadSlot();
-  ~ScopedThreadSlot();
-
-  ScopedThreadSlot(const ScopedThreadSlot&) = delete;
-  ScopedThreadSlot& operator=(const ScopedThreadSlot&) = delete;
-
-  std::uint32_t slot() const { return slot_; }
-
- private:
-  std::uint32_t slot_;
 };
 
 }  // namespace rwle

@@ -32,20 +32,6 @@ HtmRuntime& HtmRuntime::Global() {
   return runtime;
 }
 
-HtmRuntime::HtmRuntime() {
-  for (std::uint32_t slot = 0; slot < kMaxThreads; ++slot) {
-    contexts_[slot].thread_slot_ = slot;
-  }
-}
-
-TxContext* HtmRuntime::CurrentContext() {
-  const std::uint32_t slot = CurrentThreadSlot();
-  if (slot == kInvalidThreadSlot) {
-    return nullptr;
-  }
-  return &contexts_[slot];
-}
-
 // --- Transaction control ----------------------------------------------------
 
 void HtmRuntime::TxBegin(TxKind kind) {
@@ -62,8 +48,7 @@ void HtmRuntime::TxBegin(TxKind kind) {
   RWLE_DCHECK(ctx->write_buffer_.empty());
   RWLE_DCHECK(ctx->owned_line_indices_.empty());
   RWLE_DCHECK(ctx->read_line_indices_.empty());
-  ctx->counters_.begins[static_cast<int>(kind)]++;
-  CostMeter::Global().ChargeAt(ctx->thread_slot_, CostModel::kTxBegin);
+  CostMeter::Global().Charge(CostModel::kTxBegin);
   // Same epoch, ACTIVE phase. Plain store is safe: nobody dooms an IDLE
   // context (TryDoomOwner requires an epoch-matching ACTIVE/SUSPENDED
   // snapshot, and all footprint bits of epoch e-1 were cleared before the
@@ -143,8 +128,7 @@ void HtmRuntime::TxCommit() {
   ctx->write_buffer_.Clear();
   ctx->owned_line_indices_.clear();
   ctx->read_line_indices_.clear();
-  ctx->counters_.commits[static_cast<int>(ctx->kind_)]++;
-  CostMeter::Global().ChargeAt(ctx->thread_slot_, CostModel::kTxCommit);
+  CostMeter::Global().Charge(CostModel::kTxCommit);
   RWLE_TXSAN_HOOK(*this, OnTxCommitted(ctx->thread_slot_, ctx->kind_));
   EmitTraceEvent(trace_sink(), ctx->thread_slot_, TraceEventType::kTxCommit,
                  static_cast<std::uint8_t>(ctx->kind_));
@@ -234,8 +218,7 @@ void HtmRuntime::TxCommitChained(TxWriteSet& carryover) {
   ctx->write_buffer_.Clear();
   ctx->owned_line_indices_.clear();
   ctx->read_line_indices_.clear();
-  ctx->counters_.commits[static_cast<int>(ctx->kind_)]++;
-  CostMeter::Global().ChargeAt(ctx->thread_slot_, CostModel::kTxCommit);
+  CostMeter::Global().Charge(CostModel::kTxCommit);
   // OnChainCapture, not OnTxCommitted: the piece deliberately violates the
   // committed-transaction contract (no entry was written back), so txsan
   // mirrors the buffer into its chain shadow instead of checking write-back.
@@ -369,8 +352,7 @@ AbortCause HtmRuntime::FinishAbort(TxContext& ctx) {
   ctx.write_buffer_.Clear();
   ctx.owned_line_indices_.clear();
   ctx.read_line_indices_.clear();
-  ctx.counters_.aborts[static_cast<int>(ctx.kind_)][static_cast<int>(cause)]++;
-  CostMeter::Global().ChargeAt(ctx.thread_slot_, CostModel::kTxAbort);
+  CostMeter::Global().Charge(CostModel::kTxAbort);
   RWLE_TXSAN_HOOK(*this, OnTxAborted(ctx.thread_slot_, ctx.kind_, cause));
   EmitTraceEvent(trace_sink(), ctx.thread_slot_, TraceEventType::kTxAbort,
                  static_cast<std::uint8_t>(ctx.kind_), static_cast<std::uint8_t>(cause));
@@ -402,7 +384,7 @@ HtmRuntime::DoomOutcome HtmRuntime::TryDoomOwner(OwnerToken token, AbortCause ca
     return DoomOutcome::kGone;  // injected bug: requester-wins doom skipped
   }
 #endif
-  TxContext& owner = contexts_[OwnerTokenSlot(token)];
+  TxContext& owner = ContextAt(OwnerTokenSlot(token));
   std::uint32_t spins = 0;
   for (;;) {
     const std::uint64_t status = owner.status_.load();
@@ -428,7 +410,7 @@ HtmRuntime::DoomOutcome HtmRuntime::TryDoomOwner(OwnerToken token, AbortCause ca
 }
 
 void HtmRuntime::WaitWhileCommitting(OwnerToken token) {
-  TxContext& owner = contexts_[OwnerTokenSlot(token)];
+  TxContext& owner = ContextAt(OwnerTokenSlot(token));
   std::uint32_t spins = 0;
   for (;;) {
     const std::uint64_t status = owner.status_.load();
@@ -461,7 +443,7 @@ void HtmRuntime::DoomReaders(std::uint32_t index, std::uint32_t skip_thread_slot
       if (reader_slot == skip_thread_slot) {
         continue;
       }
-      TxContext& reader = contexts_[reader_slot];
+      TxContext& reader = ContextAt(reader_slot);
       std::uint32_t spins = 0;
       for (;;) {
         const std::uint64_t status = reader.status_.load();
@@ -488,20 +470,15 @@ void HtmRuntime::DoomReaders(std::uint32_t index, std::uint32_t skip_thread_slot
 
 // --- Access fabric ----------------------------------------------------------
 
-PreemptionState& ThreadPreemptionState() {
-  thread_local PreemptionState state;
-  return state;
-}
-
-void HtmRuntime::MaybePreempt(TxContext* ctx) {
-  if (ctx == nullptr || config_.yield_access_period == 0) {
+void HtmRuntime::MaybePreempt(ThreadState* self) {
+  if (self == nullptr || config_.yield_access_period == 0) {
     return;
   }
   // Count up to the period and reset: same cadence as the previous modulo
   // check, without an integer division on every fabric access.
-  if (++ctx->access_counter_ >= config_.yield_access_period) {
-    ctx->access_counter_ = 0;
-    PreemptionState& state = ThreadPreemptionState();
+  PreemptionState& state = self->preemption;
+  if (++state.access_counter >= config_.yield_access_period) {
+    state.access_counter = 0;
     if (state.defer_depth > 0) {
       state.pending = true;  // delivered when the defer scope closes
     } else {
@@ -536,13 +513,13 @@ void HtmRuntime::MaybeInjectInterrupt(TxContext* ctx, const void* address) {
 
 std::uint64_t HtmRuntime::CellLoad(std::atomic<std::uint64_t>* cell) {
   RWLE_SCHED_POINT(kFabricLoad, cell);
-  // One thread-local read per access: slot feeds context lookup and cost
-  // accounting (previously three separate CurrentThreadSlot() reads).
-  const std::uint32_t self = CurrentThreadSlot();
-  CostMeter::Global().ChargeAt(self, CostModel::kAccess);
-  TxContext* ctx = self == kInvalidThreadSlot ? nullptr : &contexts_[self];
+  // One thread-local read per access: the calling thread's block holds its
+  // context, cost shard and preemption state.
+  ThreadState* self = CurrentThreadState();
+  TxContext* ctx = self == nullptr ? nullptr : &self->tx;
+  CostMeter::Global().Charge(CostModel::kAccess);
   MaybeInjectInterrupt(ctx, cell);
-  MaybePreempt(ctx);
+  MaybePreempt(self);
   if (ctx != nullptr) {
     const TxPhase phase = ctx->phase();
     if (phase == TxPhase::kActive) {
@@ -562,11 +539,11 @@ std::uint64_t HtmRuntime::CellLoad(std::atomic<std::uint64_t>* cell) {
 
 void HtmRuntime::CellStore(std::atomic<std::uint64_t>* cell, std::uint64_t value) {
   RWLE_SCHED_POINT(kFabricStore, cell);
-  const std::uint32_t self = CurrentThreadSlot();
-  CostMeter::Global().ChargeAt(self, CostModel::kAccess);
-  TxContext* ctx = self == kInvalidThreadSlot ? nullptr : &contexts_[self];
+  ThreadState* self = CurrentThreadState();
+  TxContext* ctx = self == nullptr ? nullptr : &self->tx;
+  CostMeter::Global().Charge(CostModel::kAccess);
   MaybeInjectInterrupt(ctx, cell);
-  MaybePreempt(ctx);
+  MaybePreempt(self);
   if (ctx != nullptr) {
     const TxPhase phase = ctx->phase();
     if (phase == TxPhase::kActive) {
@@ -756,8 +733,7 @@ bool HtmRuntime::ClaimLineForWrite(TxContext& ctx, std::atomic<std::uint64_t>* c
         // separate committing/live probes would misclassify an owner moving
         // ACTIVE->COMMITTING between them as dead and CAS-steal the line
         // from a mid-write-back committer.
-        const std::uint64_t status =
-            contexts_[OwnerTokenSlot(current)].status_.load();
+        const std::uint64_t status = ContextAt(OwnerTokenSlot(current)).status_.load();
         if (StatusEpoch(status) == OwnerTokenEpoch(current)) {
           switch (StatusPhase(status)) {
             case TxPhase::kCommitting:
@@ -834,9 +810,9 @@ void HtmRuntime::TxStore(TxContext& ctx, std::atomic<std::uint64_t>* cell, std::
 bool HtmRuntime::CellCas(std::atomic<std::uint64_t>* cell, std::uint64_t expected,
                          std::uint64_t desired) {
   RWLE_SCHED_POINT(kFabricCas, cell);
-  const std::uint32_t self = CurrentThreadSlot();
-  CostMeter::Global().ChargeAt(self, CostModel::kLockOp);
-  TxContext* ctx = self == kInvalidThreadSlot ? nullptr : &contexts_[self];
+  TxContext* ctx = CurrentContext();
+  const std::uint32_t self = ctx != nullptr ? ctx->thread_slot_ : kInvalidThreadSlot;
+  CostMeter::Global().Charge(CostModel::kLockOp);
   RWLE_CHECK(ctx == nullptr || !ctx->InActiveTx());
   if (ctx != nullptr && ctx->phase() == TxPhase::kDoomed && !ctx->escape_mode_) {
     ThrowIfDoomed(*ctx);  // doomed mid-attempt: abort before touching locks

@@ -37,6 +37,7 @@
 #include "src/htm/conflict_table.h"
 #include "src/htm/fabric_observer.h"
 #include "src/htm/htm_config.h"
+#include "src/htm/thread_state.h"
 #include "src/htm/tx_context.h"
 
 namespace rwle {
@@ -58,7 +59,7 @@ class alignas(kCacheLineBytes) HtmRuntime {
   // set_config between runs; TxVar routes through it unconditionally.
   static HtmRuntime& Global();
 
-  HtmRuntime();
+  HtmRuntime() = default;
   HtmRuntime(const HtmRuntime&) = delete;
   HtmRuntime& operator=(const HtmRuntime&) = delete;
 
@@ -69,10 +70,11 @@ class alignas(kCacheLineBytes) HtmRuntime {
   // limits than the pieces whose captured state they extend.
   void set_config(const HtmConfig& config) {
 #ifndef NDEBUG
-    for (std::uint32_t slot = 0; slot < kMaxThreads; ++slot) {
-      RWLE_DCHECK(!contexts_[slot].HasLiveTx() &&
-                  "set_config called while a transaction is in flight");
-    }
+    ThreadStates().ForEachPublished(
+        ThreadRegistry::Global().HighWatermark(), [](std::uint32_t, const ThreadState& state) {
+          RWLE_DCHECK(!state.tx.HasLiveTx() &&
+                      "set_config called while a transaction is in flight");
+        });
     // Relaxed: a zero count while no Begin/EndChain runs concurrently (the
     // caller's contract) needs no ordering; this is a debug-only guard.
     RWLE_DCHECK(live_chains_.load(std::memory_order_relaxed) == 0 &&
@@ -85,11 +87,16 @@ class alignas(kCacheLineBytes) HtmRuntime {
   void set_interrupt_source(InterruptSource* source) { interrupt_source_ = source; }
   InterruptSource* interrupt_source() const { return interrupt_source_; }
 
-  // Context of the calling thread, or nullptr if the thread never
-  // registered a ScopedThreadSlot.
-  TxContext* CurrentContext();
+  // Context of the calling thread, or nullptr if the thread holds no
+  // ScopedThreadSlot.
+  TxContext* CurrentContext() {
+    ThreadState* self = CurrentThreadState();
+    return self == nullptr ? nullptr : &self->tx;
+  }
 
-  TxContext& ContextAt(std::uint32_t thread_slot) { return contexts_[thread_slot]; }
+  // Context of a slot that has registered, for cross-thread reads (owner
+  // tokens and reader bits are published only after registering).
+  TxContext& ContextAt(std::uint32_t thread_slot) { return ThreadStates().Find(thread_slot)->tx; }
 
   // --- Transaction control (operates on the calling thread's context) ---
 
@@ -254,7 +261,7 @@ class alignas(kCacheLineBytes) HtmRuntime {
   // and switch on its phase instead (see ClaimLineForWrite): two separate
   // probes would misclassify an owner racing ACTIVE->COMMITTING as dead.
   bool OwnerCommitting(OwnerToken token) {
-    const std::uint64_t status = contexts_[OwnerTokenSlot(token)].status_.load();
+    const std::uint64_t status = ContextAt(OwnerTokenSlot(token)).status_.load();
     return StatusEpoch(status) == OwnerTokenEpoch(token) &&
            StatusPhase(status) == TxPhase::kCommitting;
   }
@@ -326,24 +333,18 @@ class alignas(kCacheLineBytes) HtmRuntime {
 
   // Preemption model: yields every config_.yield_access_period accesses so
   // critical sections overlap in time even on hosts with few cores.
-  void MaybePreempt(TxContext* ctx);
+  void MaybePreempt(ThreadState* self);
 
-  // Layout rule: the read-mostly fields every fabric access reads (the
-  // config, the table's plane pointers, the hooks) share no host cache line
-  // with state that threads write on every access (each context's
-  // access_counter_ and status word). The class and contexts_ are
-  // line-aligned for that; without the padding, thread 0's context shares
-  // a line with config_ and the table pointers, and every access on every
-  // other thread misses on it (DESIGN.md §12).
+  // The fields every fabric access reads are read-mostly: per-thread state
+  // lives in the threads' blocks, and live_chains_ gets its own line.
   HtmConfig config_;
   ConflictTable table_;
   InterruptSource* interrupt_source_ = nullptr;
   std::atomic<FabricObserver*> analysis_observer_{nullptr};
   std::atomic<TraceSink*> trace_sink_{nullptr};
-  alignas(kCacheLineBytes) TxContext contexts_[kMaxThreads];
   // Chains currently live across all threads; guards set_config against
   // changing capacity limits mid-chain (see the DCHECK above).
-  std::atomic<std::uint32_t> live_chains_{0};
+  alignas(kCacheLineBytes) std::atomic<std::uint32_t> live_chains_{0};
 #ifdef RWLE_ANALYSIS
   FaultInjection fault_injection_;
 #endif

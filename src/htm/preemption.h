@@ -13,20 +13,12 @@
 #ifndef RWLE_SRC_HTM_PREEMPTION_H_
 #define RWLE_SRC_HTM_PREEMPTION_H_
 
-#include <cstdint>
 #include <thread>
 
 #include "src/common/sched_hooks.h"
+#include "src/htm/thread_state.h"
 
 namespace rwle {
-
-// Owner-thread-only state; see HtmRuntime::MaybePreempt.
-struct PreemptionState {
-  std::uint32_t defer_depth = 0;
-  bool pending = false;
-};
-
-PreemptionState& ThreadPreemptionState();
 
 // The single yield primitive of the preemption model, shared by MaybePreempt
 // (immediate delivery) and PreemptionDeferScope (deferred delivery), so both
@@ -44,20 +36,29 @@ inline void PreemptionYield() {
   std::this_thread::yield();
 }
 
+// The state lives in the thread's ThreadState block. An unregistered thread
+// is never preempted, so its scopes have nothing to defer and do nothing.
 class PreemptionDeferScope {
  public:
-  PreemptionDeferScope() { ++ThreadPreemptionState().defer_depth; }
+  PreemptionDeferScope() : self_(CurrentThreadState()) {
+    if (self_ != nullptr) {
+      ++self_->preemption.defer_depth;
+    }
+  }
 
   ~PreemptionDeferScope() {
-    PreemptionState& state = ThreadPreemptionState();
-    if (--state.defer_depth == 0 && state.pending) {
-      state.pending = false;
+    PreemptionState* state = self_ == nullptr ? nullptr : &self_->preemption;
+    if (state != nullptr && --state->defer_depth == 0 && state->pending) {
+      state->pending = false;
       PreemptionYield();
     }
   }
 
   PreemptionDeferScope(const PreemptionDeferScope&) = delete;
   PreemptionDeferScope& operator=(const PreemptionDeferScope&) = delete;
+
+ private:
+  ThreadState* self_;
 };
 
 }  // namespace rwle

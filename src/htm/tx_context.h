@@ -1,4 +1,6 @@
-// Per-thread transaction context of the simulated HTM facility.
+// Per-thread transaction context of the simulated HTM facility. Each
+// registered thread's context lives in its ThreadState block
+// (src/htm/thread_state.h).
 //
 // The heart of the design is the status word, a single atomic that packs
 //   [ epoch : 48 | abort cause : 8 | phase : 8 ]
@@ -48,17 +50,8 @@ constexpr AbortCause StatusCause(std::uint64_t status) {
 
 constexpr std::uint64_t StatusEpoch(std::uint64_t status) { return status >> 16; }
 
-// Counters a context keeps about its own transactions. Only the owning
-// thread writes them; reporting code reads them between runs.
-struct TxContextCounters {
-  std::uint64_t begins[2] = {0, 0};   // indexed by TxKind
-  std::uint64_t commits[2] = {0, 0};  // indexed by TxKind
-  std::uint64_t aborts[2][8] = {};    // [TxKind][AbortCause]
-
-  void Reset() { *this = TxContextCounters{}; }
-};
-
 class HtmRuntime;
+class ScopedThreadSlot;
 
 class TxContext {
  public:
@@ -85,9 +78,6 @@ class TxContext {
     return MakeOwnerToken(thread_slot_, StatusEpoch(status_.load()));
   }
 
-  const TxContextCounters& counters() const { return counters_; }
-  void ResetCounters() { counters_.Reset(); }
-
   // Cross-thread doom attempt against the exact status snapshot `expected`
   // (which must have phase ACTIVE or SUSPENDED). Returns true if this call
   // transitioned the transaction to DOOMED.
@@ -107,15 +97,12 @@ class TxContext {
 
  private:
   friend class HtmRuntime;
+  friend class ScopedThreadSlot;  // sets thread_slot_ when attaching a slot
+class ScopedThreadSlot;
 
   std::atomic<std::uint64_t> status_{PackStatus(0, AbortCause::kNone, TxPhase::kIdle)};
   std::uint32_t thread_slot_ = kInvalidThreadSlot;
   TxKind kind_ = TxKind::kHtm;
-
-  // Fabric accesses since the last modeled preemption; counts up to
-  // HtmConfig::yield_access_period and resets (a compare, not a modulo, on
-  // the access fast path). Owner thread only.
-  std::uint64_t access_counter_ = 0;
 
   // True between TxSuspend and TxResume. Only the owning thread touches it.
   // Needed because an asynchronous doom overwrites the SUSPENDED phase, yet
@@ -148,8 +135,6 @@ class TxContext {
   // set (see tests/set_log_test.cc).
   std::vector<std::uint32_t> owned_line_indices_;
   std::vector<std::uint32_t> read_line_indices_;
-
-  TxContextCounters counters_;
 };
 
 }  // namespace rwle

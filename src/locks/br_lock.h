@@ -10,6 +10,7 @@
 
 #include "src/common/check.h"
 #include "src/common/cpu.h"
+#include "src/common/slot_table.h"
 #include "src/common/thread_registry.h"
 #include "src/htm/preemption.h"
 #include "src/stats/cost_meter.h"
@@ -66,17 +67,19 @@ class BrLock {
   StatsRegistry& stats() { return stats_; }
 
  private:
+  // Local(), not Find(): a writer and a reader racing to a slot's first use
+  // must agree on its mutex.
   void LockOne(std::uint32_t slot) {
+    std::atomic<bool>& locked = mutexes_.Local(slot).locked;
     std::uint32_t spins = 0;
     for (;;) {
-      RWLE_SCHED_POINT(kLockAcquire, &mutexes_[slot].locked);
+      RWLE_SCHED_POINT(kLockAcquire, &locked);
       bool expected = false;
       // Test-and-test-and-set: relaxed probe keeps the line shared while
       // busy; the acquire CAS pairs with UnlockOne()'s release so this
       // section sees the previous holder's writes.
-      if (!mutexes_[slot].locked.load(std::memory_order_relaxed) &&
-          mutexes_[slot].locked.compare_exchange_strong(expected, true,
-                                                        std::memory_order_acquire)) {
+      if (!locked.load(std::memory_order_relaxed) &&
+          locked.compare_exchange_strong(expected, true, std::memory_order_acquire)) {
         // Private per-thread line: cheap for readers, n-fold for writers.
         CostMeter::Global().Charge(CostModel::kLockOp);
         return;
@@ -86,17 +89,18 @@ class BrLock {
   }
 
   void UnlockOne(std::uint32_t slot) {
-    RWLE_SCHED_POINT(kLockRelease, &mutexes_[slot].locked);
+    std::atomic<bool>& locked = mutexes_.Local(slot).locked;
+    RWLE_SCHED_POINT(kLockRelease, &locked);
     CostMeter::Global().Charge(CostModel::kLockOp);
     // Release: publishes the critical section to the next acquirer's CAS.
-    mutexes_[slot].locked.store(false, std::memory_order_release);
+    locked.store(false, std::memory_order_release);
   }
 
   struct alignas(kCacheLineBytes) PrivateMutex {
     std::atomic<bool> locked{false};
   };
 
-  PrivateMutex mutexes_[kMaxThreads];
+  SlotTable<PrivateMutex> mutexes_;
   StatsRegistry stats_;
 };
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/common/cpu.h"
+#include "src/common/slot_table.h"
 #include "src/common/thread_registry.h"
 #include "src/htm/htm_runtime.h"
 #include "src/stats/cost_meter.h"
@@ -32,11 +33,7 @@ class PagingModel : public InterruptSource {
     std::uint32_t page_shift = 12;
   };
 
-  explicit PagingModel(const Config& config) : config_(config), tlbs_(kMaxThreads) {
-    for (auto& tlb : tlbs_) {
-      tlb.entries.assign(config_.tlb_entries, 0);
-    }
-  }
+  explicit PagingModel(const Config& config) : config_(config) {}
 
   // InterruptSource: returns true if this access page-faults.
   bool OnAccess(std::uint32_t thread_slot, const void* address) override {
@@ -45,7 +42,10 @@ class PagingModel : public InterruptSource {
     }
     const std::uint64_t page =
         (reinterpret_cast<std::uintptr_t>(address) >> config_.page_shift) + 1;  // +1: 0 = empty
-    ThreadTlb& tlb = tlbs_[thread_slot];
+    ThreadTlb& tlb = tlbs_.Local(thread_slot);  // the caller's own slot
+    if (tlb.entries.empty()) [[unlikely]] {
+      tlb.entries.assign(config_.tlb_entries, 0);
+    }
     std::uint64_t& entry = tlb.entries[page % config_.tlb_entries];
     if (entry == page) {
       return false;
@@ -56,29 +56,30 @@ class PagingModel : public InterruptSource {
     return true;
   }
 
+  // Harvest and reset run between runs, after the workers joined.
   std::uint64_t TotalFaults() const {
     std::uint64_t total = 0;
-    for (const auto& tlb : tlbs_) {
-      total += tlb.faults;
-    }
+    tlbs_.ForEachPublished(kMaxThreads,
+                           [&](std::uint32_t, const ThreadTlb& tlb) { total += tlb.faults; });
     return total;
   }
 
   void Reset() {
-    for (auto& tlb : tlbs_) {
-      tlb.entries.assign(config_.tlb_entries, 0);
+    tlbs_.ForEachPublished(kMaxThreads, [](std::uint32_t, ThreadTlb& tlb) {
+      tlb.entries.assign(tlb.entries.size(), 0);
       tlb.faults = 0;
-    }
+    });
   }
 
  private:
+  // Made, and its entries sized, by the slot's first access.
   struct alignas(kCacheLineBytes) ThreadTlb {
     std::vector<std::uint64_t> entries;
     std::uint64_t faults = 0;
   };
 
   Config config_;
-  std::vector<ThreadTlb> tlbs_;
+  SlotTable<ThreadTlb> tlbs_;
 };
 
 }  // namespace rwle

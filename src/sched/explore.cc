@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/thread_registry.h"
 #include "src/htm/htm_runtime.h"
+#include "src/htm/thread_state.h"
 #include "src/sched/scheduler.h"
 
 #ifdef RWLE_ANALYSIS

@@ -1,8 +1,8 @@
 // Modeled-cost accounting.
 //
-// The reproduction host has one CPU, so wall-clock scaling curves cannot be
-// measured; instead, every unit of work is charged to one of three buckets
-// depending on what it can overlap with (see DESIGN.md §1):
+// Host wall-clock time cannot reproduce the paper's 80-thread curves, so
+// every unit of work is charged to one of three buckets depending on what it
+// can overlap with (see DESIGN.md §1):
 //   - parallel:      overlaps with everything (reader sections, speculative
 //                    writer attempts, wasted aborted work)
 //   - writer-serial: serialized among writers but concurrent with readers
@@ -16,15 +16,15 @@
 //
 // Charging is done by the HTM fabric (per access / begin / commit / abort)
 // and by the lock implementations (acquire/release, quiescence scans), into
-// per-thread shards; a thread-local serial-depth stack decides the bucket.
+// the shard in the thread's ThreadState; its serial depths pick the bucket.
 #ifndef RWLE_SRC_STATS_COST_METER_H_
 #define RWLE_SRC_STATS_COST_METER_H_
 
 #include <atomic>
 #include <cstdint>
 
-#include "src/common/cpu.h"
 #include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 
 namespace rwle {
 
@@ -54,30 +54,29 @@ class CostMeter {
     return meter;
   }
 
-  struct Totals {
-    std::uint64_t parallel = 0;
-    std::uint64_t writer_serial = 0;
-    std::uint64_t global_serial = 0;
-  };
+  using Totals = CostTotals;
 
-  void Charge(std::uint64_t units) { ChargeAt(CurrentThreadSlot(), units); }
-
-  // Charge when the caller already holds its thread slot: the fabric hot
-  // path resolves the slot once per access and reuses it for context lookup,
-  // cost accounting and tracing, instead of paying a thread-local read in
-  // each. `slot` must be this thread's slot (or kInvalidThreadSlot, which is
-  // a no-op) -- shards are unsynchronized and owner-written.
-  void ChargeAt(std::uint32_t slot, std::uint64_t units) {
-    if (slot == kInvalidThreadSlot) {
+  // Charges the calling thread; a no-op on an unregistered thread.
+  void Charge(std::uint64_t units) {
+    ThreadState* self = CurrentThreadState();
+    if (self == nullptr) {
       return;
     }
-    Shard& shard = shards_[slot];
+    CostShard& shard = self->cost;
     if (shard.global_depth > 0) {
       shard.totals.global_serial += units;
     } else if (shard.writer_depth > 0) {
       shard.totals.writer_serial += units;
     } else {
       shard.totals.parallel += units;
+    }
+  }
+
+  // Charge when the caller already holds its thread slot. `slot` must be
+  // this thread's slot or kInvalidThreadSlot, which is a no-op.
+  void ChargeAt(std::uint32_t slot, std::uint64_t units) {
+    if (slot != kInvalidThreadSlot) {
+      Charge(units);
     }
   }
 
@@ -100,26 +99,14 @@ class CostMeter {
   }
 
   void EnterSerial(SerialScope scope) {
-    const std::uint32_t slot = CurrentThreadSlot();
-    if (slot == kInvalidThreadSlot) {
-      return;
-    }
-    if (scope == SerialScope::kGlobal) {
-      ++shards_[slot].global_depth;
-    } else {
-      ++shards_[slot].writer_depth;
+    if (ThreadState* self = CurrentThreadState()) {
+      ++Depth(self->cost, scope);
     }
   }
 
   void ExitSerial(SerialScope scope) {
-    const std::uint32_t slot = CurrentThreadSlot();
-    if (slot == kInvalidThreadSlot) {
-      return;
-    }
-    if (scope == SerialScope::kGlobal) {
-      --shards_[slot].global_depth;
-    } else {
-      --shards_[slot].writer_depth;
+    if (ThreadState* self = CurrentThreadState()) {
+      --Depth(self->cost, scope);
     }
   }
 
@@ -127,29 +114,28 @@ class CostMeter {
   // per-thread clock the trace layer stamps events with. Owner-thread read
   // (or harvest after join); never charges anything itself.
   std::uint64_t SlotCycles(std::uint32_t slot) const {
-    const Totals& totals = shards_[slot].totals;
+    const ThreadState* state = ThreadStates().Find(slot);
+    const Totals totals = state == nullptr ? Totals{} : state->cost.totals;
     return totals.parallel + totals.writer_serial + totals.global_serial;
   }
 
-  // Harvest and reset walk only the slots below the registry high
-  // watermark: no thread has ever charged a shard past it.
+  // Harvest and reset walk only the blocks below the registry high
+  // watermark: no thread has ever charged one past it.
   Totals Aggregate() const {
     Totals totals;
     const std::uint32_t end = ThreadRegistry::Global().HighWatermark();
-    for (std::uint32_t slot = 0; slot < end; ++slot) {
-      const Totals& shard = shards_[slot].totals;
-      totals.parallel += shard.parallel;
-      totals.writer_serial += shard.writer_serial;
-      totals.global_serial += shard.global_serial;
-    }
+    ThreadStates().ForEachPublished(end, [&](std::uint32_t, const ThreadState& state) {
+      totals.parallel += state.cost.totals.parallel;
+      totals.writer_serial += state.cost.totals.writer_serial;
+      totals.global_serial += state.cost.totals.global_serial;
+    });
     return totals;
   }
 
   void Reset() {
-    const std::uint32_t end = ThreadRegistry::Global().HighWatermark();
-    for (std::uint32_t slot = 0; slot < end; ++slot) {
-      shards_[slot].totals = Totals{};
-    }
+    ThreadStates().ForEachPublished(
+        ThreadRegistry::Global().HighWatermark(),
+        [](std::uint32_t, ThreadState& state) { state.cost.totals = Totals{}; });
   }
 
   // The makespan bound described above, in modeled seconds.
@@ -162,13 +148,10 @@ class CostMeter {
   }
 
  private:
-  struct alignas(kCacheLineBytes) Shard {
-    Totals totals;
-    std::uint32_t writer_depth = 0;
-    std::uint32_t global_depth = 0;
-  };
+  static std::uint32_t& Depth(CostShard& shard, SerialScope scope) {
+    return scope == SerialScope::kGlobal ? shard.global_depth : shard.writer_depth;
+  }
 
-  Shard shards_[kMaxThreads];
   std::atomic<std::uint32_t> contention_factor_{1};
 };
 

@@ -23,6 +23,7 @@
 #include "src/common/slot_table.h"
 #include "src/common/thread_registry.h"
 #include "src/htm/abort.h"
+#include "src/htm/thread_state.h"
 
 namespace rwle {
 

@@ -15,10 +15,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/slot_table.h"
 #include "src/common/thread_registry.h"
 #include "src/stats/cost_meter.h"
 #include "src/trace/trace_event.h"
@@ -71,8 +73,9 @@ inline void EmitTraceEvent(TraceSink* sink, TraceEventType type,
 }
 
 // Collects events into one ring per thread slot. Lanes are allocated by
-// the first event of each slot; run labeling (set_scenario / BeginRun) is
-// driver-side and must happen between runs, when no worker is emitting.
+// the first event of each slot, in the slot's record of the sink; reading
+// them and run labeling (set_scenario / BeginRun) are driver-side and must
+// happen between runs, when no worker is emitting.
 class MemoryTraceSink final : public TraceSink {
  public:
   static constexpr std::size_t kDefaultLaneCapacity = std::size_t{1} << 14;
@@ -87,26 +90,14 @@ class MemoryTraceSink final : public TraceSink {
   explicit MemoryTraceSink(std::size_t lane_capacity = kDefaultLaneCapacity)
       : lane_capacity_(lane_capacity) {}
 
-  ~MemoryTraceSink() override {
-    for (auto& lane : lanes_) {
-      // Acquire: pairs with Emit()'s release publication so the lane is
-      // seen fully constructed before deletion.
-      delete lane.load(std::memory_order_acquire);
-    }
-  }
-
   MemoryTraceSink(const MemoryTraceSink&) = delete;
   MemoryTraceSink& operator=(const MemoryTraceSink&) = delete;
 
   void Emit(const TraceEvent& event) override {
-    // Relaxed: each lane slot is written only by its owner thread, which
-    // reads its own prior store -- program order suffices.
-    Lane* lane = lanes_[event.thread_slot].load(std::memory_order_relaxed);
+    // The emitting thread's own record: the owner path.
+    std::unique_ptr<Lane>& lane = lanes_.Local(event.thread_slot);
     if (lane == nullptr) {
-      lane = new Lane(lane_capacity_);
-      // Release: publishes the lane's construction to the cross-thread
-      // acquire loads in the readers below.
-      lanes_[event.thread_slot].store(lane, std::memory_order_release);
+      lane = std::make_unique<Lane>(lane_capacity_);
     }
     TraceEvent stamped = event;
     stamped.seq = lane->next_seq++;
@@ -131,41 +122,26 @@ class MemoryTraceSink final : public TraceSink {
 
   const std::vector<RunInfo>& runs() const { return runs_; }
 
-  bool HasLane(std::uint32_t slot) const {
-    // Acquire: pairs with Emit()'s release so a non-null lane is usable.
-    return lanes_[slot].load(std::memory_order_acquire) != nullptr;
-  }
+  bool HasLane(std::uint32_t slot) const { return LaneOf(slot) != nullptr; }
 
   // Visits the lane's retained events oldest to newest; no-op for slots
   // that never emitted.
   template <typename Fn>
   void ForEachLaneEvent(std::uint32_t slot, Fn&& fn) const {
-    // Acquire: pairs with Emit()'s release publication; ring contents are
-    // quiesced by contract (readers run between runs).
-    if (const Lane* lane = lanes_[slot].load(std::memory_order_acquire)) {
+    if (const Lane* lane = LaneOf(slot)) {
       lane->ring.ForEach(fn);
     }
   }
 
   std::uint64_t TotalEvents() const {
     std::uint64_t total = 0;
-    for (const auto& entry : lanes_) {
-      // Acquire: same pairing as ForEachLaneEvent -- see above.
-      if (const Lane* lane = entry.load(std::memory_order_acquire)) {
-        total += lane->ring.pushed();
-      }
-    }
+    ForEachLane([&](const Lane& lane) { total += lane.ring.pushed(); });
     return total;
   }
 
   std::uint64_t DroppedEvents() const {
     std::uint64_t total = 0;
-    for (const auto& entry : lanes_) {
-      // Acquire: same pairing as ForEachLaneEvent -- see above.
-      if (const Lane* lane = entry.load(std::memory_order_acquire)) {
-        total += lane->ring.dropped();
-      }
-    }
+    ForEachLane([&](const Lane& lane) { total += lane.ring.dropped(); });
     return total;
   }
 
@@ -176,8 +152,22 @@ class MemoryTraceSink final : public TraceSink {
     std::uint32_t next_seq = 0;
   };
 
+  const Lane* LaneOf(std::uint32_t slot) const {
+    const std::unique_ptr<Lane>* lane = lanes_.Find(slot);
+    return lane == nullptr ? nullptr : lane->get();
+  }
+
+  template <typename Fn>
+  void ForEachLane(Fn&& fn) const {
+    lanes_.ForEachPublished(kMaxThreads, [&](std::uint32_t, const std::unique_ptr<Lane>& lane) {
+      if (lane != nullptr) {
+        fn(*lane);
+      }
+    });
+  }
+
   const std::size_t lane_capacity_;
-  std::atomic<Lane*> lanes_[kMaxThreads] = {};
+  SlotTable<std::unique_ptr<Lane>> lanes_;
   std::atomic<std::uint32_t> current_run_{0};
   std::string scenario_;
   std::vector<RunInfo> runs_;

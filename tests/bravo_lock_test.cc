@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/bravo_reader_table.h"
 

@@ -15,6 +15,7 @@
 #include "src/common/rng.h"
 #include "src/common/table.h"
 #include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 
 namespace rwle {
 namespace {

@@ -8,7 +8,7 @@
 #include <chrono>
 #include <thread>
 
-#include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/rwle_lock.h"
 

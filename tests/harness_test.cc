@@ -15,6 +15,7 @@
 #include "src/common/thread_registry.h"
 #include "src/harness/figure_report.h"
 #include "src/harness/result_sink.h"
+#include "src/htm/thread_state.h"
 #include "src/locks/lock_factory.h"
 #include "src/memory/tx_var.h"
 #include "src/stats/cost_meter.h"

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 #include "src/locks/lock_factory.h"
 #include "src/workloads/hashmap/hashmap_workload.h"
 #include "tests/resident_set.h"

@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 #include "src/memory/paging_model.h"
 #include "src/memory/tx_var.h"
 
@@ -579,27 +579,71 @@ TEST_F(HtmRuntimeTest, LimitedTrackingDisablesCapacityAborts) {
   }
 }
 
-TEST_F(HtmRuntimeTest, CountersTrackCommitsAndAborts) {
-  ScopedThreadSlot slot;
-  TxContext& ctx = Rt().ContextAt(CurrentThreadSlot());
-  ctx.ResetCounters();
+// A slot's block outlives its occupant: the next thread to get the slot
+// inherits the same context and with it the epoch, so an owner token of the
+// previous occupant names a transaction that is over and cannot doom the
+// new occupant's live one.
+TEST_F(HtmRuntimeTest, RecycledSlotKeepsItsBlockAndEpoch) {
+  struct alignas(kCacheLineBytes) Line {
+    std::atomic<std::uint64_t> cell{0};
+  };
+  Line line;
 
-  TxVar<std::uint64_t> cell(0);
-  Rt().TxBegin(TxKind::kHtm);
-  cell.Store(1);
-  Rt().TxCommit();
-  try {
-    Rt().TxBegin(TxKind::kRot);
-    Rt().TxAbort(AbortCause::kExplicit);
-  } catch (const TxAbortException&) {
+  std::uint32_t slot_a = kInvalidThreadSlot;
+  TxContext* context_a = nullptr;
+  OwnerToken stale = 0;
+  std::thread([&] {
+    const ScopedThreadSlot slot;
+    slot_a = slot.slot();
+    context_a = Rt().CurrentContext();
+    Rt().TxBegin(TxKind::kHtm);
+    stale = context_a->CurrentToken();
+    Rt().CellStore(&line.cell, 1);
+    Rt().TxCommit();
+  }).join();
+  ASSERT_NE(stale, OwnerToken{0});
+
+  // B runs one empty transaction, live across the stale-token access below.
+  std::atomic<int> step{0};
+  std::uint32_t slot_b = kInvalidThreadSlot;
+  TxContext* context_b = nullptr;
+  OwnerToken token_b = 0;
+  bool committed = false;
+  std::thread b([&] {
+    const ScopedThreadSlot slot;
+    slot_b = slot.slot();
+    context_b = Rt().CurrentContext();
+    Rt().TxBegin(TxKind::kHtm);
+    token_b = context_b->CurrentToken();
+    step.store(1);
+    while (step.load() != 2) {
+      std::this_thread::yield();
+    }
+    try {
+      Rt().TxCommit();
+      committed = true;
+    } catch (const TxAbortException&) {
+    }
+  });
+  while (step.load() != 1) {
+    std::this_thread::yield();
   }
+  // Leave A's stale token as the line's owner, as a doomed owner that has
+  // not yet released its line would, and store to the line: the store must
+  // try to doom the token's transaction, and find it over.
+  Rt().conflict_table().SlotFor(&line.cell).writer().store(stale);
+  Rt().CellStore(&line.cell, 2);
+  const TxPhase phase_b = context_b->phase();
+  step.store(2);
+  b.join();
+  Rt().conflict_table().SlotFor(&line.cell).writer().store(0);
 
-  const auto& counters = ctx.counters();
-  EXPECT_EQ(counters.commits[static_cast<int>(TxKind::kHtm)], 1u);
-  EXPECT_EQ(counters.begins[static_cast<int>(TxKind::kRot)], 1u);
-  EXPECT_EQ(
-      counters.aborts[static_cast<int>(TxKind::kRot)][static_cast<int>(AbortCause::kExplicit)],
-      1u);
+  EXPECT_EQ(slot_b, slot_a);
+  EXPECT_EQ(context_b, context_a);
+  EXPECT_GT(OwnerTokenEpoch(token_b), OwnerTokenEpoch(stale));
+  EXPECT_EQ(phase_b, TxPhase::kActive);
+  EXPECT_TRUE(committed);
+  EXPECT_EQ(line.cell.load(), 2u);
 }
 
 }  // namespace

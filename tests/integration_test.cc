@@ -16,6 +16,7 @@
 
 #include "src/common/thread_registry.h"
 #include "src/harness/bench_harness.h"
+#include "src/htm/thread_state.h"
 #include "src/locks/lock_factory.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/rwle_basic_lock.h"

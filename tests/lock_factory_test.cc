@@ -10,7 +10,7 @@
 #include <set>
 #include <string>
 
-#include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 #include "src/locks/bravo_lock.h"
 #include "src/locks/elidable_lock.h"
 #include "src/rwle/rwle_lock.h"

@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 #include "src/locks/br_lock.h"
 #include "src/locks/hle_lock.h"
 #include "src/locks/lock_factory.h"

@@ -10,6 +10,7 @@
 
 #include "src/common/thread_registry.h"
 #include "src/htm/htm_runtime.h"
+#include "src/htm/thread_state.h"
 #include "src/memory/tx_var.h"
 
 namespace rwle {

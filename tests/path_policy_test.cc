@@ -7,7 +7,7 @@
 #include <atomic>
 #include <thread>
 
-#include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 #include "src/rwle/epoch_clocks.h"
 
 namespace rwle {

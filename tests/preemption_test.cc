@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/thread_registry.h"
 #include "src/htm/htm_runtime.h"
+#include "src/htm/thread_state.h"
 #include "src/memory/tx_var.h"
 
 namespace rwle {
@@ -13,21 +13,19 @@ namespace {
 
 HtmRuntime& Rt() { return HtmRuntime::Global(); }
 
+// The deferral state lives in the registered thread's block.
+PreemptionState& State() { return CurrentThreadState()->preemption; }
+
 class PreemptionTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    saved_config_ = Rt().config();
-    // Clear any leftover thread-local deferral state.
-    PreemptionState& state = ThreadPreemptionState();
-    state.defer_depth = 0;
-    state.pending = false;
-  }
+  void SetUp() override { saved_config_ = Rt().config(); }
   void TearDown() override { Rt().set_config(saved_config_); }
   HtmConfig saved_config_;
 };
 
 TEST_F(PreemptionTest, ScopeIncrementsAndDecrementsDepth) {
-  PreemptionState& state = ThreadPreemptionState();
+  const ScopedThreadSlot slot;
+  PreemptionState& state = State();
   EXPECT_EQ(state.defer_depth, 0u);
   {
     const PreemptionDeferScope outer;
@@ -42,7 +40,8 @@ TEST_F(PreemptionTest, ScopeIncrementsAndDecrementsDepth) {
 }
 
 TEST_F(PreemptionTest, PendingYieldClearedWhenOutermostScopeCloses) {
-  PreemptionState& state = ThreadPreemptionState();
+  const ScopedThreadSlot slot;
+  PreemptionState& state = State();
   {
     const PreemptionDeferScope outer;
     {
@@ -65,7 +64,7 @@ TEST_F(PreemptionTest, FabricAccessesMarkPendingInsteadOfYieldingUnderScope) {
   Rt().set_config(config);
 
   TxVar<std::uint64_t> cell;
-  PreemptionState& state = ThreadPreemptionState();
+  PreemptionState& state = State();
   {
     const PreemptionDeferScope defer;
     // Cross several yield periods; the yield must be deferred, not taken.
@@ -85,7 +84,7 @@ TEST_F(PreemptionTest, YieldPeriodZeroDisablesPreemption) {
   Rt().set_config(config);
 
   TxVar<std::uint64_t> cell;
-  PreemptionState& state = ThreadPreemptionState();
+  PreemptionState& state = State();
   {
     const PreemptionDeferScope defer;
     for (int i = 0; i < 64; ++i) {
@@ -96,12 +95,16 @@ TEST_F(PreemptionTest, YieldPeriodZeroDisablesPreemption) {
 }
 
 TEST_F(PreemptionTest, StateIsPerThread) {
-  PreemptionState& state = ThreadPreemptionState();
+  const ScopedThreadSlot slot;
+  PreemptionState& state = State();
   const PreemptionDeferScope scope;
   EXPECT_EQ(state.defer_depth, 1u);
   std::thread([] {
-    // A fresh thread starts with clean deferral state.
-    PreemptionState& other = ThreadPreemptionState();
+    // An unregistered thread has no block; its scopes defer nothing.
+    { const PreemptionDeferScope unregistered; }
+    // A freshly registered thread starts with clean deferral state.
+    const ScopedThreadSlot other_slot;
+    PreemptionState& other = State();
     EXPECT_EQ(other.defer_depth, 0u);
     EXPECT_FALSE(other.pending);
   }).join();

@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "src/common/cpu.h"
-#include "src/common/thread_registry.h"
 #include "src/htm/conflict_table.h"
 #include "src/htm/htm_runtime.h"
+#include "src/htm/thread_state.h"
 #include "src/htm/tx_write_set.h"
 
 namespace rwle {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 #include "src/locks/lock_factory.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/rwle_lock.h"

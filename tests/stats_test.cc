@@ -6,7 +6,8 @@
 
 #include <thread>
 
-#include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
+
 
 namespace rwle {
 namespace {

@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 #include "src/locks/lock_factory.h"
 
 namespace rwle {

@@ -18,6 +18,7 @@
 #include "src/harness/bench_harness.h"
 #include "src/htm/abort.h"
 #include "src/htm/htm_runtime.h"
+#include "src/htm/thread_state.h"
 #include "src/locks/lock_factory.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/path_policy.h"

@@ -7,6 +7,7 @@
 #include <cstdint>
 
 #include "src/common/thread_registry.h"
+#include "src/htm/thread_state.h"
 #include "src/memory/paging_model.h"
 
 namespace rwle {

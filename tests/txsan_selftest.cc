@@ -14,8 +14,8 @@
 
 #include "src/analysis/txsan.h"
 #include "src/chop/chopped_section.h"
-#include "src/common/thread_registry.h"
 #include "src/htm/htm_runtime.h"
+#include "src/htm/thread_state.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/rwle_lock.h"
 
